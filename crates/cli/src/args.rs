@@ -1,7 +1,7 @@
 //! Hand-rolled argument parsing (the workspace keeps its dependency set
 //! to the offline essentials, so no clap).
 
-use costar_langs::{all_languages, Generator, Language};
+use costar_langs::{Generator, Language};
 
 /// Usage text shown on argument errors.
 pub const USAGE: &str = "\
@@ -673,11 +673,9 @@ fn number<T: std::str::FromStr>(
 }
 
 /// Looks up a built-in language (and its generator) by name,
-/// case-insensitively.
+/// case-insensitively, building only that language.
 pub fn find_language(name: &str) -> Result<(Language, Generator), String> {
-    all_languages()
-        .into_iter()
-        .find(|(l, _)| l.name.eq_ignore_ascii_case(name))
+    costar_langs::language(name)
         .ok_or_else(|| format!("unknown language {name:?} (json, xml, dot, python)"))
 }
 

@@ -39,7 +39,7 @@
 
 use crate::analysis::first_follow::{ll1_selects, FirstSets, FollowSets};
 use crate::analysis::nullable::NullableSet;
-use crate::analysis::sll_graph::{self, GraphOutcome};
+use crate::analysis::sll_graph::{ClosureEngine, GraphOutcome};
 use crate::analysis::stable_frames::StableFrames;
 use crate::grammar::{Grammar, ProdId};
 use crate::lint::json_string;
@@ -186,10 +186,23 @@ impl DecisionTable {
         follow: &FollowSets,
         stable_frames: &StableFrames,
     ) -> Self {
+        let mut engine = ClosureEngine::new(g, stable_frames);
+        Self::compute_with(&mut engine, nullable, first, follow)
+    }
+
+    /// [`DecisionTable::compute`] on a closure engine shared with the
+    /// rest of the analysis run.
+    pub(crate) fn compute_with(
+        engine: &mut ClosureEngine<'_>,
+        nullable: &NullableSet,
+        first: &FirstSets,
+        follow: &FollowSets,
+    ) -> Self {
+        let g = engine.grammar();
         let by_nt = g
             .symbols()
             .nonterminals()
-            .map(|x| classify(g, nullable, first, follow, stable_frames, x))
+            .map(|x| classify(engine, nullable, first, follow, x))
             .collect();
         DecisionTable { by_nt }
     }
@@ -414,13 +427,13 @@ fn common_word(g: &Grammar, p: ProdId, q: ProdId) -> Option<Vec<Terminal>> {
 /// Classifies one nonterminal; `None` when it has fewer than two
 /// alternatives.
 fn classify(
-    g: &Grammar,
+    engine: &mut ClosureEngine<'_>,
     nullable: &NullableSet,
     first: &FirstSets,
     follow: &FollowSets,
-    stable_frames: &StableFrames,
     x: NonTerminal,
 ) -> Option<DecisionInfo> {
+    let g = engine.grammar();
     let alts = g.alternatives(x);
     if alts.len() < 2 {
         return None;
@@ -431,12 +444,11 @@ fn classify(
     for (i, &p) in alts.iter().enumerate() {
         for &q in &alts[i + 1..] {
             if let Some(lookahead) = select_conflict(g, nullable, first, follow, p, q) {
-                let pair = sll_graph::explore(g, stable_frames, &[p, q]);
                 conflicts.push(ConflictPair {
                     a: p,
                     b: q,
                     lookahead,
-                    distinguishing_prefix: pair.distinguishing_prefix,
+                    distinguishing_prefix: engine.pair(p, q).distinguishing_prefix.clone(),
                     ambiguous_word: common_word(g, p, q),
                 });
             }
@@ -470,9 +482,19 @@ fn classify(
         });
     }
 
-    // Not LL(1): ask the closure graph whether SLL can ever conflict.
-    let report = sll_graph::explore(g, stable_frames, alts);
-    let class = match report.outcome {
+    // Not LL(1): ask the closure graph whether SLL can ever conflict. A
+    // two-alternative decision's graph is its pair's, already explored.
+    let (outcome, graph_states) = match alts {
+        &[p, q] => {
+            let pair = engine.pair(p, q);
+            (pair.outcome, pair.states)
+        }
+        _ => {
+            let all = engine.explore(alts);
+            (all.outcome, all.states)
+        }
+    };
+    let class = match outcome {
         GraphOutcome::ConflictFree => DecisionClass::SllSafe,
         GraphOutcome::Conflict | GraphOutcome::Bounded => DecisionClass::NeedsFullAllStar,
     };
@@ -482,7 +504,7 @@ fn classify(
         alternatives: alts.len(),
         lookahead: None,
         conflicts,
-        graph_states: report.states,
+        graph_states,
     })
 }
 

@@ -123,9 +123,16 @@ impl GrammarAnalysis {
         let reachability = Reachability::compute(g);
         let productivity = Productivity::compute(g);
         let stable_frames = StableFrames::compute(g, &nullable);
-        let decisions = DecisionTable::compute(g, &nullable, &first, &follow, &stable_frames);
+        // One closure engine for the decision table and the audit pass:
+        // each pair's closure graph is explored once, and the engine's
+        // tables are dropped before this function returns.
+        let (decisions, audit) = {
+            let mut engine = sll_graph::ClosureEngine::new(g, &stable_frames);
+            let decisions = DecisionTable::compute_with(&mut engine, &nullable, &first, &follow);
+            let audit = AuditTable::compute_with(&mut engine, &productivity);
+            (decisions, audit)
+        };
         let sync = SyncSets::compute(g, &first, &follow);
-        let audit = AuditTable::compute(g, &stable_frames, &productivity);
         let cost = CostModel::compute(g, &nullable, &left_recursion, &audit);
         GrammarAnalysis {
             nullable,

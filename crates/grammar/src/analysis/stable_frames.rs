@@ -19,7 +19,7 @@
 use crate::analysis::nullable::NullableSet;
 use crate::grammar::{Grammar, ProdId};
 use crate::symbol::{NonTerminal, Symbol};
-use std::collections::BTreeSet;
+use std::collections::VecDeque;
 
 /// A grammar position: the dot sits before `rhs(production)[dot]`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -65,110 +65,116 @@ pub struct StableFrames {
 }
 
 impl StableFrames {
-    /// Computes stable destinations for every nonterminal by a monotone
-    /// fixpoint over three mutually recursive set families:
+    /// Computes stable destinations for every nonterminal as the least
+    /// solution of three mutually recursive set families:
     ///
     /// * `SD[X]` — stable destinations of `X` (the result);
     /// * `SF[p, j]` — stable positions closure-reachable from position
     ///   `(p, j)` without consuming input;
     /// * `FS[Z]` — stable positions reachable from the start of any of
     ///   `Z`'s right-hand sides (the push case of closure).
+    ///
+    /// Every constraint has the form `target ⊇ source`, so the solution
+    /// is a propagation over a flow graph: each set is a bitset over the
+    /// grammar's stable positions (plus one bit for end of input), and a
+    /// worklist re-propagates a set along its out-edges only when it grew.
     pub fn compute(g: &Grammar, nullable: &NullableSet) -> Self {
         let num_nts = g.num_nonterminals();
-        let num_prods = g.num_productions();
 
+        // Stable positions in (production, dot) order, so bit order is
+        // `Position` order; the bit after the last position is "can end".
+        let mut positions: Vec<Position> = Vec::new();
         // Flatten SF variables: sf_index(p, j) for 0 <= j <= len(rhs(p)).
-        let mut sf_base = vec![0usize; num_prods + 1];
-        for (i, p) in g.productions().iter().enumerate() {
-            sf_base[i + 1] = sf_base[i] + p.rhs().len() + 1;
-        }
-        let num_sf = sf_base[num_prods];
-        let sf_index = |p: ProdId, j: usize| sf_base[p.index()] + j;
-
-        #[derive(Default, Clone, PartialEq)]
-        struct SetVal {
-            positions: BTreeSet<Position>,
-            can_end: bool,
-        }
-
-        impl SetVal {
-            fn union_from(&mut self, other: &SetVal) -> bool {
-                let before = (self.positions.len(), self.can_end);
-                self.positions.extend(other.positions.iter().copied());
-                self.can_end |= other.can_end;
-                before != (self.positions.len(), self.can_end)
-            }
-        }
-
-        let mut sd: Vec<SetVal> = vec![SetVal::default(); num_nts];
-        let mut sf: Vec<SetVal> = vec![SetVal::default(); num_sf];
-        let mut fs: Vec<SetVal> = vec![SetVal::default(); num_nts];
-
-        // Seed: completing the start symbol may be followed by EOF, and the
-        // base case of SF at a terminal position is that position itself.
-        sd[g.start().index()].can_end = true;
+        let mut sf_base = Vec::with_capacity(g.num_productions() + 1);
+        let mut num_sf = 0;
         for (pid, p) in g.iter() {
-            for (j, &s) in p.rhs().iter().enumerate() {
+            sf_base.push(num_sf);
+            num_sf += p.rhs().len() + 1;
+            for (j, s) in p.rhs().iter().enumerate() {
                 if s.is_terminal() {
-                    sf[sf_index(pid, j)].positions.insert(Position {
+                    positions.push(Position {
                         production: pid,
                         dot: j as u32,
                     });
                 }
             }
         }
+        let can_end = positions.len();
+        let mut sets = BitSets::new(num_nts + num_sf + num_nts, can_end + 1);
+        let sd = |x: NonTerminal| x.index();
+        let sf = |p: ProdId, j: usize| num_nts + sf_base[p.index()] + j;
+        let fs = |z: NonTerminal| num_nts + num_sf + z.index();
 
-        // Fixpoint iteration. Each constraint is monotone over finite sets,
-        // so iteration terminates.
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for (pid, p) in g.iter() {
-                let rhs = p.rhs();
-                // SF[p, len] ⊇ SD[lhs(p)] — returning out of p.
-                {
-                    let src = sd[p.lhs().index()].clone();
-                    changed |= sf[sf_index(pid, rhs.len())].union_from(&src);
-                }
-                for (j, &s) in rhs.iter().enumerate().rev() {
-                    match s {
-                        Symbol::T(_) => {
-                            // Base case already seeded; nothing flows in.
-                        }
-                        Symbol::Nt(z) => {
-                            // Push case: SF[p, j] ⊇ FS[Z].
-                            let src = fs[z.index()].clone();
-                            changed |= sf[sf_index(pid, j)].union_from(&src);
-                            // Nullable skip: SF[p, j] ⊇ SF[p, j+1].
-                            if nullable.contains(z) {
-                                let src = sf[sf_index(pid, j + 1)].clone();
-                                changed |= sf[sf_index(pid, j)].union_from(&src);
-                            }
-                        }
+        // Seed: completing the start symbol may be followed by EOF, and the
+        // base case of SF at a terminal position is that position itself.
+        sets.insert(sd(g.start()), can_end);
+        let mut next_position = 0;
+        let mut flows: Vec<(usize, usize)> = Vec::new();
+        for (pid, p) in g.iter() {
+            let rhs = p.rhs();
+            // SF[p, len] ⊇ SD[lhs(p)] — returning out of p.
+            flows.push((sd(p.lhs()), sf(pid, rhs.len())));
+            // FS[lhs(p)] ⊇ SF[p, 0].
+            flows.push((sf(pid, 0), fs(p.lhs())));
+            for (j, &s) in rhs.iter().enumerate() {
+                match s {
+                    Symbol::T(_) => {
+                        sets.insert(sf(pid, j), next_position);
+                        next_position += 1;
                     }
-                }
-                // FS[lhs(p)] ⊇ SF[p, 0].
-                {
-                    let src = sf[sf_index(pid, 0)].clone();
-                    changed |= fs[p.lhs().index()].union_from(&src);
-                }
-                // Caller constraint: for each Nt(X) at (p, i),
-                // SD[X] ⊇ SF[p, i+1].
-                for (i, &s) in rhs.iter().enumerate() {
-                    if let Symbol::Nt(x) = s {
-                        let src = sf[sf_index(pid, i + 1)].clone();
-                        changed |= sd[x.index()].union_from(&src);
+                    Symbol::Nt(z) => {
+                        // Push case: SF[p, j] ⊇ FS[Z].
+                        flows.push((fs(z), sf(pid, j)));
+                        // Nullable skip: SF[p, j] ⊇ SF[p, j+1].
+                        if nullable.contains(z) {
+                            flows.push((sf(pid, j + 1), sf(pid, j)));
+                        }
+                        // Caller constraint: SD[Z] ⊇ SF[p, j+1].
+                        flows.push((sf(pid, j + 1), sd(z)));
                     }
                 }
             }
         }
 
+        // Out-edges in compressed rows, then the worklist: every set
+        // starts queued, and a set is re-queued when a union grows it.
+        let num_sets = sets.sets;
+        let mut row = vec![0usize; num_sets + 1];
+        for &(from, _) in &flows {
+            row[from + 1] += 1;
+        }
+        for i in 0..num_sets {
+            row[i + 1] += row[i];
+        }
+        let mut targets = vec![0usize; flows.len()];
+        let mut fill = row.clone();
+        for &(from, to) in &flows {
+            targets[fill[from]] = to;
+            fill[from] += 1;
+        }
+        let mut queued = vec![true; num_sets];
+        let mut work: VecDeque<usize> = (0..num_sets).collect();
+        while let Some(from) = work.pop_front() {
+            queued[from] = false;
+            for &to in &targets[row[from]..row[from + 1]] {
+                if sets.union_into(from, to) && !queued[to] {
+                    queued[to] = true;
+                    work.push_back(to);
+                }
+            }
+        }
+
         StableFrames {
-            dests: sd
-                .into_iter()
-                .map(|v| StableDests {
-                    positions: v.positions.into_iter().collect(),
-                    can_end: v.can_end,
+            dests: g
+                .symbols()
+                .nonterminals()
+                .map(|x| StableDests {
+                    positions: sets
+                        .iter(sd(x))
+                        .take_while(|&i| i < can_end)
+                        .map(|i| positions[i])
+                        .collect(),
+                    can_end: sets.contains(sd(x), can_end),
                 })
                 .collect(),
         }
@@ -188,6 +194,58 @@ impl StableFrames {
     /// Rebuilds from raw parts (grammar-cache deserialization).
     pub(crate) fn from_parts(dests: Vec<StableDests>) -> Self {
         StableFrames { dests }
+    }
+}
+
+/// A family of equally sized bitsets in one flat buffer.
+struct BitSets {
+    sets: usize,
+    words: usize,
+    bits: Vec<u64>,
+}
+
+impl BitSets {
+    fn new(sets: usize, bits: usize) -> Self {
+        let words = bits.div_ceil(64);
+        BitSets {
+            sets,
+            words,
+            bits: vec![0; sets * words],
+        }
+    }
+
+    fn insert(&mut self, set: usize, bit: usize) {
+        self.bits[set * self.words + bit / 64] |= 1 << (bit % 64);
+    }
+
+    fn contains(&self, set: usize, bit: usize) -> bool {
+        self.bits[set * self.words + bit / 64] & (1 << (bit % 64)) != 0
+    }
+
+    /// `to ∪= from`; whether `to` grew.
+    fn union_into(&mut self, from: usize, to: usize) -> bool {
+        let mut grew = false;
+        for w in 0..self.words {
+            let add = self.bits[from * self.words + w];
+            let dst = &mut self.bits[to * self.words + w];
+            if add & !*dst != 0 {
+                *dst |= add;
+                grew = true;
+            }
+        }
+        grew
+    }
+
+    /// The members of `set`, ascending.
+    fn iter(&self, set: usize) -> impl Iterator<Item = usize> + '_ {
+        self.bits[set * self.words..(set + 1) * self.words]
+            .iter()
+            .enumerate()
+            .flat_map(|(w, &word)| {
+                (0..64)
+                    .filter(move |b| word & (1 << b) != 0)
+                    .map(move |b| w * 64 + b)
+            })
     }
 }
 
