@@ -747,19 +747,20 @@ impl Bfs {
     }
 }
 
-/// A hash map keyed by the engine's small integer tuples and slices.
-type FxMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
+/// A hash map keyed by the engine's small integer tuples and slices (the
+/// decision table's form and word interners use it too).
+pub(crate) type FxMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 
 /// The multiply-rotate hash of the Rust compiler's `FxHasher`. It is not
 /// collision-resistant: the keys are dense ids that the engine and the
-/// grammar builder assign (continuation ids, production indices, dots),
-/// not bytes read from outside, and the exploration caps bound the work
+/// grammar builder assign (continuation ids, production indices, dots,
+/// symbols, interned form and word ids), not bytes read from outside, and the exploration caps bound the work
 /// any grammar can cause. On these keys it beats the default SipHash by
 /// enough to matter for certificate replay (Python: 1.2 ms against
 /// 1.75 ms on a 2-core x86-64 host), which must stay an order of
 /// magnitude cheaper than the recompute it replaces.
 #[derive(Default)]
-struct FxHasher(u64);
+pub(crate) struct FxHasher(u64);
 
 impl FxHasher {
     fn add(&mut self, word: u64) {
