@@ -119,23 +119,41 @@ impl Nfa {
         }
     }
 
-    /// ε-closure of a set of states (sorted, deduplicated).
-    pub fn eps_closure(&self, states: &[usize]) -> Vec<usize> {
-        let mut seen = vec![false; self.states.len()];
-        let mut stack: Vec<usize> = states.to_vec();
-        let mut out = Vec::new();
-        while let Some(s) = stack.pop() {
-            if seen[s] {
+    /// Fresh scratch space for [`Nfa::eps_closure`] over this NFA.
+    pub fn closure_scratch(&self) -> ClosureScratch {
+        ClosureScratch {
+            seen: vec![0; self.states.len()],
+            stamp: 0,
+            stack: Vec::new(),
+        }
+    }
+
+    /// ε-closure of a set of states into `out` (sorted, deduplicated).
+    /// Allocates only while `scratch` and `out` grow.
+    pub fn eps_closure(
+        &self,
+        states: &[usize],
+        scratch: &mut ClosureScratch,
+        out: &mut Vec<usize>,
+    ) {
+        if scratch.stamp == u32::MAX {
+            scratch.seen.fill(0);
+            scratch.stamp = 0;
+        }
+        scratch.stamp += 1;
+        let stamp = scratch.stamp;
+        out.clear();
+        scratch.stack.clear();
+        scratch.stack.extend_from_slice(states);
+        while let Some(s) = scratch.stack.pop() {
+            if scratch.seen[s] == stamp {
                 continue;
             }
-            seen[s] = true;
+            scratch.seen[s] = stamp;
             out.push(s);
-            for &t in &self.states[s].eps {
-                stack.push(t);
-            }
+            scratch.stack.extend_from_slice(&self.states[s].eps);
         }
         out.sort_unstable();
-        out
     }
 
     /// The highest-priority (lowest-index) accept tag in a state set.
@@ -143,9 +161,9 @@ impl Nfa {
         states.iter().filter_map(|&s| self.states[s].accept).min()
     }
 
-    /// All states reachable from `states` on byte `b`.
-    pub fn step(&self, states: &[usize], b: u8) -> Vec<usize> {
-        let mut out = Vec::new();
+    /// All states reachable from `states` on byte `b`, into `out`.
+    pub fn step(&self, states: &[usize], b: u8, out: &mut Vec<usize>) {
+        out.clear();
         for &s in states {
             for (set, t) in &self.states[s].edges {
                 if set.contains(b) {
@@ -153,8 +171,16 @@ impl Nfa {
                 }
             }
         }
-        out
     }
+}
+
+/// Reusable buffers for ε-closures: a visited mark per NFA state, stamped
+/// with a fresh value per closure so it is never cleared, and one DFS
+/// stack.
+pub(crate) struct ClosureScratch {
+    seen: Vec<u32>,
+    stamp: u32,
+    stack: Vec<usize>,
 }
 
 #[cfg(test)]
@@ -165,9 +191,12 @@ mod tests {
 
     /// Simulates the NFA directly on an input (test oracle for the DFA).
     fn nfa_matches(nfa: &Nfa, input: &[u8]) -> Option<usize> {
-        let mut cur = nfa.eps_closure(&[nfa.start]);
+        let mut scratch = nfa.closure_scratch();
+        let (mut cur, mut moved) = (Vec::new(), Vec::new());
+        nfa.eps_closure(&[nfa.start], &mut scratch, &mut cur);
         for &b in input {
-            cur = nfa.eps_closure(&nfa.step(&cur, b));
+            nfa.step(&cur, b, &mut moved);
+            nfa.eps_closure(&moved, &mut scratch, &mut cur);
             if cur.is_empty() {
                 return None;
             }
