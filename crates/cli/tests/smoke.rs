@@ -221,6 +221,72 @@ fn budget_abort_reports_distinctly_with_exit_3() {
 }
 
 #[test]
+fn deep_nesting_stops_at_the_stack_depth_cap_with_exit_3() {
+    // JSON nested n arrays deep needs 3n + 2 parser stack frames at
+    // most; the CLI caps the stack at 6,000, so 1,999 levels still parse
+    // and render. Its 72 MB tree goes to /dev/null.
+    let nested =
+        |name: &str, n: usize| tmp_file(name, &format!("{}{}", "[".repeat(n), "]".repeat(n)));
+    let at_cap = nested("deep-cap", 1_999);
+    let out = costar()
+        .args(["parse", "--lang", "json", "--tree"])
+        .arg(&at_cap)
+        .stdout(std::process::Stdio::null())
+        .output()
+        .expect("spawn");
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+
+    // One level more, and 50,000 levels (which used to overflow the
+    // main thread's stack when the tree was dropped, SIGABRT): a typed
+    // abort with exit 3, with and without --tree or --recover.
+    let past_cap = nested("deep-past-cap", 2_000);
+    let deep = nested("deep-50k", 50_000);
+    for (path, extra) in [
+        (&past_cap, None),
+        (&deep, None),
+        (&deep, Some("--tree")),
+        (&deep, Some("--recover")),
+    ] {
+        let out = costar()
+            .args(["parse", "--lang", "json"])
+            .arg(path)
+            .args(extra)
+            .output()
+            .expect("spawn");
+        let report = format!(
+            "{}{}",
+            String::from_utf8_lossy(&out.stdout),
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert_eq!(out.status.code(), Some(3), "{extra:?}: {report}");
+        assert!(
+            report.contains("stack depth 6001 exceeds limit 6000"),
+            "{report}"
+        );
+    }
+
+    // A batch folds the aborted file's exit 3 over the accepted one.
+    let out = costar()
+        .args(["parse", "--lang", "json", "--jobs", "2"])
+        .arg(&at_cap)
+        .arg(&deep)
+        .output()
+        .expect("spawn");
+    assert_eq!(out.status.code(), Some(3));
+    let stdout = String::from_utf8(out.stdout).expect("utf8");
+    assert!(stdout.contains("unique parse"), "{stdout}");
+    assert!(stdout.contains("aborted: stack depth"), "{stdout}");
+    for path in [at_cap, past_cap, deep] {
+        let _ = std::fs::remove_file(path);
+    }
+}
+
+#[test]
 fn stats_json_and_recover_json_merge_into_one_document() {
     // Regression: `--stats=json --recover=json` used to interleave two
     // top-level JSON documents on stdout; consumers piping into a JSON
