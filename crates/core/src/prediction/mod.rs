@@ -27,6 +27,8 @@
 #![warn(clippy::disallowed_methods, clippy::disallowed_macros)]
 pub(crate) mod cache;
 pub(crate) mod sim;
+#[cfg(test)]
+mod sim_reference;
 
 use crate::budget::{AbortReason, Meter};
 use crate::error::ParseError;
