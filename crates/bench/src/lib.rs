@@ -26,7 +26,7 @@ use costar_grammar::analysis::{
     parse_cert_json, replay_certificate, to_cert_json, AuditTable, DecisionTable, GrammarAnalysis,
 };
 use costar_grammar::{Grammar, GrammarBuilder, Token};
-use costar_langs::{all_languages, corpus, Language};
+use costar_langs::{all_languages, corpus, language, Language};
 use costar_stats::{linear_fit, lowess, ratio_stats, LinearFit};
 use std::fmt;
 use std::hint::black_box;
@@ -683,6 +683,13 @@ pub struct ParseBench {
     /// `overall_overhead`: clean input must not pay for the recovery
     /// machinery it never uses.
     pub overall_recovery_overhead: f64,
+    /// Recovering parse of a seeded ~20k-token DOT file with one line-end
+    /// `}` deleted, over a plain parse of the clean file (each the minimum
+    /// over interleaved reps). The break leaves a right-recursive
+    /// statement list open to the end of the input, so every prediction
+    /// inside it reads to EOF; gated at 5x. A same-build compute ratio,
+    /// like the recovery overhead.
+    pub broken_dot_recovery_ratio: f64,
     /// Host parallelism observed during the run
     /// (`std::thread::available_parallelism`). The speedup gate only
     /// applies when this is at least 4 — a single-core runner cannot show
@@ -951,12 +958,74 @@ pub fn parse_bench(cfg: &Config) -> ParseBench {
         rows,
         overall_overhead: total_observed / total_null.max(1e-12),
         overall_recovery_overhead: total_recovering / total_null.max(1e-12),
+        broken_dot_recovery_ratio: broken_dot_recovery_ratio(cfg.trials.max(5)),
         batch_available,
         batch_speedup_4: seq_total / par_total.max(1e-12),
         batch_equal,
         overall_cert_speedup: overall_cert_speedup(&cert_reps),
     }
 }
+
+/// The `broken_dot_recovery_ratio` arm: generates the seeded
+/// [`BROKEN_DOT_SIZE`] DOT document, deletes the first `}` that ends a
+/// line at or after 24% of its bytes, then times `parse_recovering` on
+/// the broken word against `parse` on the clean one, interleaved, keeping
+/// each arm's minimum over `reps`.
+///
+/// # Panics
+///
+/// Panics if the document fails to lex, does not parse, or has no such
+/// `}`: all properties of the seeded generator, not of a measurement.
+fn broken_dot_recovery_ratio(reps: usize) -> f64 {
+    let (lang, generate) = language("dot").expect("DOT is bundled");
+    let src = generate(3, BROKEN_DOT_SIZE);
+    let clean = lang.tokenize(&src).expect("generated DOT lexes");
+    let at = clean
+        .iter()
+        .position(|t| {
+            let end = t.span().offset + t.span().len;
+            t.lexeme() == "}"
+                && t.offset() >= src.len() * 24 / 100
+                && matches!(src.as_bytes().get(end), None | Some(b'\n'))
+        })
+        .expect("the DOT file closes a line with `}` after 24% of its bytes");
+    let mut broken = clean.clone();
+    broken.remove(at);
+    // One parser per arm: each parse starts by dropping the cache its
+    // predecessor left, and a clean parse must not pay for the broken
+    // arm's cache.
+    let mut clean_parser = Parser::new(lang.grammar().clone());
+    let mut broken_parser = Parser::new(lang.grammar().clone());
+    expect_unique(lang.name, &clean_parser.parse(&clean));
+    assert!(
+        !broken_parser
+            .parse_recovering(&broken)
+            .diagnostics
+            .is_empty(),
+        "DOT: deleting a `}}` must break the file"
+    );
+    let mut clean_secs = f64::INFINITY;
+    let mut broken_secs = f64::INFINITY;
+    for _ in 0..reps {
+        let start = Instant::now();
+        black_box(clean_parser.parse(&clean));
+        clean_secs = clean_secs.min(start.elapsed().as_secs_f64());
+        let start = Instant::now();
+        black_box(broken_parser.parse_recovering(&broken));
+        broken_secs = broken_secs.min(start.elapsed().as_secs_f64());
+    }
+    broken_secs / clean_secs.max(1e-12)
+}
+
+/// Size knob of the `broken_dot_recovery_ratio` document (about 20k
+/// tokens, like the benchmark's edit-session documents). The cost the
+/// gate guards against grows with the text after the break, so the arm
+/// keeps this size at every [`Config`].
+const BROKEN_DOT_SIZE: usize = 20_000;
+
+/// The `broken_dot_recovery_ratio` gate: recovering from one deleted `}`
+/// may cost at most this many clean parses of the same file.
+const BROKEN_DOT_RECOVERY_CEILING: f64 = 5.0;
 
 /// Interleaved audit/validation reps per grammar behind the certificate
 /// gate (more when `Config::trials` asks for more): enough that a burst
@@ -1054,10 +1123,12 @@ impl ParseBench {
         let _ = write!(
             s,
             "],\"overall_overhead\":{:.4},\"overall_recovery_overhead\":{:.4},\
+             \"broken_dot_recovery_ratio\":{:.2},\
              \"batch_available\":{},\"batch_speedup_4\":{:.4},\"batch_equal\":{},\
              \"overall_cert_speedup\":{:.1}}}",
             self.overall_overhead,
             self.overall_recovery_overhead,
+            self.broken_dot_recovery_ratio,
             self.batch_available,
             self.batch_speedup_4,
             self.batch_equal,
@@ -1103,6 +1174,16 @@ impl ParseBench {
                 self.overall_recovery_overhead,
                 recovery_base,
                 tolerance * 100.0
+            ));
+        }
+        // Recovering from a broken DOT file must stay within a few clean
+        // parses: prediction inside the unclosed list reads to the end of
+        // the input, and used to cost time quadratic in that distance.
+        if self.broken_dot_recovery_ratio > BROKEN_DOT_RECOVERY_CEILING {
+            failures.push(format!(
+                "broken DOT recovery {:.1}x a clean parse exceeds the \
+                 {BROKEN_DOT_RECOVERY_CEILING:.0}x gate",
+                self.broken_dot_recovery_ratio
             ));
         }
         for r in &self.rows {
@@ -1293,6 +1374,11 @@ impl fmt::Display for ParseBench {
             f,
             "overall recovery overhead on clean input (time-weighted): {:.2}x",
             self.overall_recovery_overhead
+        )?;
+        writeln!(
+            f,
+            "broken DOT file (one line-end `}}` deleted): recovering parse {:.2}x a clean parse",
+            self.broken_dot_recovery_ratio
         )?;
         writeln!(
             f,
@@ -1892,6 +1978,11 @@ mod tests {
                 r.name
             );
         }
+        // The broken-DOT arm ran. Like the other compute ratios its gate
+        // is calibrated for the release-mode run: pin the value under the
+        // ceiling before exercising the gate logic below.
+        assert!(p.broken_dot_recovery_ratio > 0.0);
+        p.broken_dot_recovery_ratio = p.broken_dot_recovery_ratio.min(1.0);
         // The batch arm must have run its determinism oracle on every
         // corpus; on any host count it must match sequential exactly.
         assert!(p.batch_equal, "batch results diverged from sequential");
@@ -1905,6 +1996,8 @@ mod tests {
         assert!(json.contains("\"overall_overhead\""));
         assert!(json.contains("\"recovery_overhead\""));
         assert!(json.contains("\"overall_recovery_overhead\""));
+        assert!(json.contains("\"broken_dot_recovery_ratio\""));
+        assert!(p.to_string().contains("broken DOT file"));
         assert!(json.contains("\"static_fast_path_hits\""));
         assert!(json.contains("\"static_fast_path_fraction\""));
         assert!(json.contains("\"decision_table_micros\""));
@@ -1955,6 +2048,10 @@ mod tests {
         assert!(slow_recovery.check_against(&json, 0.05).is_err());
         let legacy = json.replace("\"overall_recovery_overhead\"", "\"renamed_away\"");
         assert!(slow_recovery.check_against(&legacy, 0.05).is_err());
+        // ...and a broken-DOT recovery past the absolute 5x ceiling.
+        let mut slow_broken = p.clone();
+        slow_broken.broken_dot_recovery_ratio = 6.0;
+        assert!(slow_broken.check_against(&json, 0.05).is_err());
         // ...and a baseline without the gate number is a configuration
         // error, not a pass.
         assert!(p.check_against("{\"rows\":[]}", 0.05).is_err());
