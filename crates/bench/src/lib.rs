@@ -1146,7 +1146,31 @@ impl ParseBench {
     /// path does. Per-language ratios are reported but not gated (a few
     /// milliseconds of fast-corpus parse time is too noisy to gate on);
     /// a reconciliation failure on any language always fails.
-    pub fn check_against(&self, baseline_json: &str, tolerance: f64) -> Result<(), String> {
+    ///
+    /// The other gates are documented inline below. On success, returns
+    /// the names of the gates that ran (the batch speedup gate runs only
+    /// on hosts with at least 4 cores); on failure, one line per failure.
+    pub fn check_against(
+        &self,
+        baseline_json: &str,
+        tolerance: f64,
+    ) -> Result<Vec<&'static str>, String> {
+        let mut gates = vec![
+            "observer overhead",
+            "recovery overhead",
+            "broken-DOT recovery",
+            "metrics reconciliation",
+            "cost soundness",
+            "batch determinism",
+        ];
+        if self.batch_available >= 4 {
+            gates.push("batch speedup");
+        }
+        gates.extend([
+            "incremental splicing",
+            "certificate speedup",
+            "static fast path",
+        ]);
         let mut failures = Vec::new();
         let Some(base) = extract_number(baseline_json, "overall_overhead") else {
             return Err("baseline has no overall_overhead field".into());
@@ -1298,7 +1322,7 @@ impl ParseBench {
             }
         }
         if failures.is_empty() {
-            Ok(())
+            Ok(gates)
         } else {
             Err(failures.join("\n"))
         }
@@ -2034,9 +2058,28 @@ mod tests {
         assert!(json.contains("\"incremental_speedup\""));
         assert!(json.contains("\"incremental_equal\":true"));
         assert!(p.to_string().contains("single-token edit splice"));
-        // The gate accepts a run against its own baseline...
-        p.check_against(&json, 0.05)
+        // The gate accepts a run against its own baseline, naming every
+        // gate that ran...
+        let gates = p
+            .check_against(&json, 0.05)
             .expect("self-comparison passes");
+        for gate in [
+            "observer overhead",
+            "recovery overhead",
+            "broken-DOT recovery",
+            "cost soundness",
+            "batch determinism",
+            "incremental splicing",
+            "certificate speedup",
+            "static fast path",
+        ] {
+            assert!(gates.contains(&gate), "{gate} missing from {gates:?}");
+        }
+        assert_eq!(
+            gates.contains(&"batch speedup"),
+            p.batch_available >= 4,
+            "the speedup floor runs only on hosts with 4+ cores"
+        );
         // ...and rejects a genuinely regressed observer path.
         let mut worse = p.clone();
         worse.overall_overhead = 10.0;

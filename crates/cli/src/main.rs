@@ -66,11 +66,12 @@
 //! accept — a bounded post-mortem of what the machine was doing.
 
 use costar::{
-    AbortReason, BatchItemResult, BatchParser, Budget, Edit, EditError, MetricsObserver,
-    ParseOutcome, Parser, TraceObserver,
+    AbortReason, BatchItem, BatchItemResult, BatchParser, Budget, Edit, EditError, MetricsObserver,
+    NullObserver, ParseObserver, ParseOutcome, Parser, TraceObserver,
 };
 use costar_baselines::Ll1Parser;
 use costar_grammar::analysis::GrammarAnalysis;
+use costar_grammar::lint::json_string;
 use costar_grammar::transform::eliminate_left_recursion;
 use costar_grammar::{Grammar, Token};
 use std::path::PathBuf;
@@ -336,6 +337,15 @@ fn cmd_parse(
 ) -> Result<ExitCode, String> {
     let (grammar, mut words, names, cache_dir) = load_many(source, inputs)?;
     let analysis = load_analysis(&grammar, cache_dir, opts.no_grammar_cache);
+    if words.len() > 1 && opts.trace_buffer.is_some() {
+        return Err("--trace-buffer applies to single-file parses only".into());
+    }
+    if !analysis.left_recursion.is_grammar_safe() {
+        eprintln!(
+            "warning: grammar is left-recursive; the correctness theorems do not apply \
+             (try `costar check --eliminate-lr`)"
+        );
+    }
     if words.len() > 1 {
         return cmd_parse_batch(grammar, analysis, &names, &words, budget, &opts);
     }
@@ -343,264 +353,121 @@ fn cmd_parse(
     if opts.auto_steps {
         budget = budget.with_max_steps(analysis.cost.bound_for(tokens.len() as u64));
     }
-    let ParseOpts {
-        tree,
-        stats,
-        time,
-        trace_buffer,
-        recover,
-        ..
-    } = opts;
     let mut parser = Parser::with_analysis(grammar, analysis);
     parser.set_budget(budget);
-    if !parser.grammar_is_safe() {
-        eprintln!(
-            "warning: grammar is left-recursive; the correctness theorems do not apply \
-             (try `costar check --eliminate-lr`)"
-        );
-    }
-    if recover != RecoverMode::Off {
-        return cmd_parse_recovering(parser, &tokens, tree, stats, time, trace_buffer, recover);
-    }
-
-    // The default path stays on the monomorphized no-op observer; metrics
-    // and tracing are only wired in when a flag asks for them.
-    let observing = stats != StatsMode::Off || trace_buffer.is_some();
-    let mut metrics = None;
-    let mut trace = None;
-    let start = Instant::now();
-    let outcome = if observing {
-        let mut obs = (
-            MetricsObserver::new(),
-            TraceObserver::new(trace_buffer.unwrap_or(0)),
-        );
-        let outcome = parser.parse_observed(&tokens, &mut obs);
-        let (mobs, tobs) = obs;
-        metrics = Some(mobs.into_metrics());
-        trace = Some(tobs);
-        outcome
-    } else {
-        parser.parse(&tokens)
-    };
-    let elapsed = start.elapsed();
-    if let Some(m) = metrics.as_mut() {
-        m.tokens = tokens.len();
-        m.total_nanos = elapsed.as_nanos() as u64;
-    }
-
-    // With `--stats=json` stdout carries the JSON report, so the human
-    // verdict line moves to stderr.
-    let json_mode = stats == StatsMode::Json;
-    let verdict = |line: String| {
-        if json_mode {
-            eprintln!("{line}");
-        } else {
-            println!("{line}");
-        }
-    };
-
-    let code = match &outcome {
-        ParseOutcome::Unique(t) => {
-            verdict(format!(
-                "unique parse ({} tokens, {} tree nodes)",
-                tokens.len(),
-                t.size()
-            ));
-            if tree {
-                print!("{}", t.render(parser.grammar().symbols()));
-            }
-            ExitCode::SUCCESS
-        }
-        ParseOutcome::Ambig(t) => {
-            verdict(format!(
-                "AMBIGUOUS input ({} tokens); one of its parse trees has {} nodes",
-                tokens.len(),
-                t.size()
-            ));
-            if tree {
-                print!("{}", t.render(parser.grammar().symbols()));
-            }
-            ExitCode::SUCCESS
-        }
-        ParseOutcome::Reject(reason) => {
-            verdict(format!(
-                "reject: {}",
-                render::describe_reject(parser.grammar(), reason)
-            ));
-            ExitCode::FAILURE
-        }
-        ParseOutcome::Error(e) => {
-            verdict(format!(
-                "error: {}",
-                render::describe_error(parser.grammar(), e)
-            ));
-            ExitCode::FAILURE
-        }
-        ParseOutcome::Aborted(r) => {
-            verdict(format!(
-                "aborted: {r} — input neither accepted nor rejected ({})",
-                abort_hint(r)
-            ));
-            ExitCode::from(3)
-        }
-    };
-
-    // Post-mortem trace: only when a buffer was requested and the parse
-    // did not accept.
-    if trace_buffer.is_some()
-        && !matches!(outcome, ParseOutcome::Unique(_) | ParseOutcome::Ambig(_))
-    {
-        if let Some(t) = &trace {
-            eprintln!("trace: last {} of {} events:", t.len(), t.total_events());
-            eprint!("{}", t.dump(Some(parser.grammar().symbols())));
-        }
-    }
-
-    match (stats, metrics.as_ref()) {
-        (StatsMode::Human, Some(m)) => {
-            let s = parser.prediction_stats();
-            eprintln!(
-                "decisions: {} (+{} single-alt), static fast path {}, SLL-resolved {}, \
-                 failovers {}, lookahead mean {:.2} max {}",
-                s.predictions,
-                s.single_alternative,
-                s.static_fast_path,
-                s.sll_resolved,
-                s.failovers,
-                s.mean_lookahead(),
-                s.max_lookahead
-            );
-            eprintln!(
-                "steps: {} machine + {} prediction = {} metered \
-                 ({} pushes, {} consumes, {} returns, max stack {})",
-                m.machine_steps,
-                m.prediction_steps,
-                m.meter_steps,
-                m.pushes,
-                m.consumes,
-                m.returns,
-                m.max_stack_height
-            );
-            eprintln!(
-                "cache: {} lookups, {} hits, {} misses ({:.1}% hit rate), {} evictions",
-                m.cache_lookups,
-                m.cache_hits,
-                m.cache_misses,
-                m.cache_hit_rate() * 100.0,
-                m.cache_evictions
-            );
-        }
-        (StatsMode::Json, Some(m)) => println!("{}", m.to_json()),
-        _ => {}
-    }
-    if time {
-        let secs = elapsed.as_secs_f64();
-        eprintln!(
-            "parse time: {:.3} ms ({:.0} tokens/sec)",
-            secs * 1e3,
-            tokens.len() as f64 / secs.max(1e-12)
-        );
-    }
-    Ok(code)
+    Ok(cmd_parse_one(parser, &tokens, &opts))
 }
 
-/// The `--recover` arm of `costar parse`: parse past syntax errors,
-/// report every diagnostic, and exit 4 when the input parsed with errors.
-#[allow(clippy::too_many_arguments)]
-fn cmd_parse_recovering(
-    mut parser: Parser,
-    tokens: &[Token],
-    tree: bool,
-    stats: StatsMode,
-    time: bool,
-    trace_buffer: Option<usize>,
-    mode: RecoverMode,
-) -> Result<ExitCode, String> {
-    let observing = stats != StatsMode::Off || trace_buffer.is_some();
-    let mut metrics = None;
-    let mut trace = None;
+/// The single-file arm of `costar parse`, plain or `--recover`: parse
+/// (past syntax errors with `--recover`, reporting every diagnostic and
+/// exiting 4 when the input parsed with errors), then report.
+fn cmd_parse_one(mut parser: Parser, tokens: &[Token], opts: &ParseOpts) -> ExitCode {
+    let recovering = opts.recover != RecoverMode::Off;
+    // The default path stays on the monomorphized no-op observer; metrics
+    // and tracing are only wired in when a flag asks for them.
+    let observing = opts.stats != StatsMode::Off || opts.trace_buffer.is_some();
     let start = Instant::now();
-    let recovered = if observing {
+    let (result, observers) = if observing {
         let mut obs = (
             MetricsObserver::new(),
-            TraceObserver::new(trace_buffer.unwrap_or(0)),
+            TraceObserver::new(opts.trace_buffer.unwrap_or(0)),
         );
-        let r = parser.parse_recovering_observed(tokens, &mut obs);
-        let (mobs, tobs) = obs;
-        metrics = Some(mobs.into_metrics());
-        trace = Some(tobs);
-        r
+        let result = parse_with(&mut parser, tokens, recovering, &mut obs);
+        (result, Some(obs))
     } else {
-        parser.parse_recovering(tokens)
+        let result = parse_with(&mut parser, tokens, recovering, &mut NullObserver);
+        (result, None)
     };
     let elapsed = start.elapsed();
-    if let Some(m) = metrics.as_mut() {
-        m.tokens = tokens.len();
-        m.total_nanos = elapsed.as_nanos() as u64;
-    }
+    let (metrics, trace) = observers
+        .map(|(m, t)| (m.finish(tokens.len(), elapsed), t))
+        .unzip();
+    let item = BatchItem {
+        result,
+        metrics: metrics.unwrap_or_default(),
+    };
+    let g = parser.grammar();
 
     // Human-readable diagnostics always go to stderr, one line per
     // recovered error, so they compose with --tree / JSON on stdout.
-    for d in &recovered.diagnostics {
-        eprintln!(
-            "error: {}",
-            render::describe_diagnostic(parser.grammar(), d)
-        );
+    if let BatchItemResult::Recovered(r) = &item.result {
+        for d in &r.diagnostics {
+            eprintln!("error: {}", render::describe_diagnostic(g, d));
+        }
     }
-    // JSON reporting is deferred to the end of the function so that
-    // `--recover=json` and `--stats=json` can merge into one top-level
-    // document — two independent prints would interleave into invalid
-    // JSON on stdout.
-    let recovery_json = (mode == RecoverMode::Json)
-        .then(|| render::recovery_report_json(parser.grammar(), &recovered, tokens.len()));
-
-    let errors = recovered.diagnostics.len();
-    let code = match &recovered.outcome {
-        ParseOutcome::Unique(_) | ParseOutcome::Ambig(_) => {
-            eprintln!(
+    let line = match (&item.result, item.outcome()) {
+        (BatchItemResult::Recovered(_), ParseOutcome::Unique(_) | ParseOutcome::Ambig(_)) => {
+            format!(
                 "parsed cleanly ({} tokens, no recovery needed)",
                 tokens.len()
-            );
-            ExitCode::SUCCESS
+            )
         }
-        ParseOutcome::Reject(_) => {
-            let skipped: usize = recovered.diagnostics.iter().map(|d| d.skipped).sum();
-            eprintln!(
-                "parsed with {errors} syntax error{} ({} tokens, {skipped} skipped)",
-                if errors == 1 { "" } else { "s" },
-                tokens.len()
-            );
-            ExitCode::from(4)
+        (BatchItemResult::Recovered(_), ParseOutcome::Aborted(r)) => {
+            format!("aborted: {r} — recovery gave up before resolving the input")
         }
-        ParseOutcome::Error(e) => {
-            eprintln!("error: {}", render::describe_error(parser.grammar(), e));
-            ExitCode::FAILURE
-        }
-        ParseOutcome::Aborted(r) => {
-            eprintln!("aborted: {r} — recovery gave up before resolving the input");
-            ExitCode::from(3)
-        }
+        _ => verdict_line(g, &item, tokens.len()),
     };
-    if tree {
-        if let Some(t) = recovered.tree() {
-            print!("{}", t.render(parser.grammar().symbols()));
+    // A recovering parse's verdict goes to stderr beside its diagnostics;
+    // with `--stats=json` stdout carries the JSON report, so the plain
+    // verdict moves to stderr too.
+    print_line(recovering || opts.stats == StatsMode::Json, &line);
+    if opts.tree {
+        if let Some(t) = item.tree() {
+            print!("{}", t.render(g.symbols()));
         }
     }
 
-    if trace_buffer.is_some() && !recovered.is_clean() {
-        if let Some(t) = &trace {
-            eprintln!("trace: last {} of {} events:", t.len(), t.total_events());
-            eprint!("{}", t.dump(Some(parser.grammar().symbols())));
-        }
+    // Post-mortem trace: only when a buffer was requested and the parse
+    // did not accept.
+    let trace = trace.filter(|_| opts.trace_buffer.is_some() && !item.outcome().is_accept());
+    if let Some(t) = trace {
+        eprintln!("trace: last {} of {} events:", t.len(), t.total_events());
+        eprint!("{}", t.dump(Some(g.symbols())));
     }
-    if let (StatsMode::Human, Some(m)) = (stats, metrics.as_ref()) {
+    let m = &item.metrics;
+    if opts.stats == StatsMode::Human && recovering {
         eprintln!(
             "recovery: {} recoveries, {} tokens skipped; steps: {} machine + {} prediction",
             m.recoveries, m.tokens_skipped, m.machine_steps, m.prediction_steps
         );
+    } else if opts.stats == StatsMode::Human {
+        let s = parser.prediction_stats();
+        eprintln!(
+            "decisions: {} (+{} single-alt), static fast path {}, SLL-resolved {}, \
+             failovers {}, lookahead mean {:.2} max {}",
+            s.predictions,
+            s.single_alternative,
+            s.static_fast_path,
+            s.sll_resolved,
+            s.failovers,
+            s.mean_lookahead(),
+            s.max_lookahead
+        );
+        eprintln!(
+            "steps: {} machine + {} prediction = {} metered \
+             ({} pushes, {} consumes, {} returns, max stack {})",
+            m.machine_steps,
+            m.prediction_steps,
+            m.meter_steps,
+            m.pushes,
+            m.consumes,
+            m.returns,
+            m.max_stack_height
+        );
+        eprintln!(
+            "cache: {} lookups, {} hits, {} misses ({:.1}% hit rate), {} evictions",
+            m.cache_lookups,
+            m.cache_hits,
+            m.cache_misses,
+            m.cache_hit_rate() * 100.0,
+            m.cache_evictions
+        );
     }
-    let stats_json = match (stats, metrics.as_ref()) {
-        (StatsMode::Json, Some(m)) => Some(m.to_json()),
+    let stats_json = (opts.stats == StatsMode::Json).then(|| m.to_json());
+    let recovery_json = match (&item.result, opts.recover) {
+        (BatchItemResult::Recovered(r), RecoverMode::Json) => {
+            Some(render::recovery_report_json(g, r, tokens.len()))
+        }
         _ => None,
     };
     // One JSON document per invocation, whatever combination was asked
@@ -612,7 +479,7 @@ fn cmd_parse_recovering(
         (None, Some(r)) => println!("{r}"),
         (None, None) => {}
     }
-    if time {
+    if opts.time {
         let secs = elapsed.as_secs_f64();
         eprintln!(
             "parse time: {:.3} ms ({:.0} tokens/sec)",
@@ -620,7 +487,61 @@ fn cmd_parse_recovering(
             tokens.len() as f64 / secs.max(1e-12)
         );
     }
-    Ok(code)
+    ExitCode::from(u8::try_from(item.exit_code()).unwrap_or(1))
+}
+
+/// Runs one plain or recovering parse under `obs`.
+fn parse_with<O: ParseObserver>(
+    parser: &mut Parser,
+    tokens: &[Token],
+    recovering: bool,
+    obs: &mut O,
+) -> BatchItemResult {
+    if recovering {
+        BatchItemResult::Recovered(parser.parse_recovering_observed(tokens, obs))
+    } else {
+        BatchItemResult::Plain(parser.parse_observed(tokens, obs))
+    }
+}
+
+/// Prints a human report line: on stdout, or on stderr when stdout is
+/// reserved for a JSON document or the line belongs with diagnostics.
+fn print_line(to_stderr: bool, line: &str) {
+    if to_stderr {
+        eprintln!("{line}");
+    } else {
+        println!("{line}");
+    }
+}
+
+/// The verdict line for one parsed input of `tokens` tokens, shared by
+/// single-file and batch parses.
+fn verdict_line(g: &Grammar, item: &BatchItem, tokens: usize) -> String {
+    match (&item.result, item.outcome()) {
+        (_, ParseOutcome::Unique(t)) => {
+            format!("unique parse ({tokens} tokens, {} tree nodes)", t.size())
+        }
+        (_, ParseOutcome::Ambig(t)) => format!(
+            "AMBIGUOUS input ({tokens} tokens); one of its parse trees has {} nodes",
+            t.size()
+        ),
+        (BatchItemResult::Recovered(r), ParseOutcome::Reject(_)) => {
+            let errors = r.diagnostics.len();
+            let skipped: usize = r.diagnostics.iter().map(|d| d.skipped).sum();
+            format!(
+                "parsed with {errors} syntax error{} ({tokens} tokens, {skipped} skipped)",
+                if errors == 1 { "" } else { "s" }
+            )
+        }
+        (BatchItemResult::Plain(_), ParseOutcome::Reject(reason)) => {
+            format!("reject: {}", render::describe_reject(g, reason))
+        }
+        (_, ParseOutcome::Error(e)) => format!("error: {}", render::describe_error(g, e)),
+        (_, ParseOutcome::Aborted(r)) => format!(
+            "aborted: {r} — input neither accepted nor rejected ({})",
+            abort_hint(r)
+        ),
+    }
 }
 
 /// The multi-file arm of `costar parse`: every FILE parses as one batch
@@ -639,20 +560,11 @@ fn cmd_parse_batch(
     budget: Budget,
     opts: &ParseOpts,
 ) -> Result<ExitCode, String> {
-    if opts.trace_buffer.is_some() {
-        return Err("--trace-buffer applies to single-file parses only".into());
-    }
     let batch = BatchParser::with_shared(Arc::new(grammar), Arc::new(analysis))
         .with_budget(budget)
         .with_jobs(opts.jobs.unwrap_or(0))
         .with_warm_cache(opts.warm_cache)
         .with_auto_steps(opts.auto_steps);
-    if !batch.analysis().left_recursion.is_grammar_safe() {
-        eprintln!(
-            "warning: grammar is left-recursive; the correctness theorems do not apply \
-             (try `costar check --eliminate-lr`)"
-        );
-    }
     let recovering = opts.recover != RecoverMode::Off;
     let start = Instant::now();
     let result = if recovering {
@@ -665,13 +577,6 @@ fn cmd_parse_batch(
     // With JSON on stdout, human verdict lines move to stderr (same
     // contract as single-file `--stats=json`).
     let json_mode = opts.stats == StatsMode::Json || opts.recover == RecoverMode::Json;
-    let verdict = |line: String| {
-        if json_mode {
-            eprintln!("{line}");
-        } else {
-            println!("{line}");
-        }
-    };
 
     let g = batch.grammar();
     for (i, item) in result.items.iter().enumerate() {
@@ -681,40 +586,8 @@ fn cmd_parse_batch(
                 eprintln!("{name}: error: {}", render::describe_diagnostic(g, d));
             }
         }
-        let line = match item.outcome() {
-            ParseOutcome::Unique(t) => format!(
-                "{name}: unique parse ({} tokens, {} tree nodes)",
-                words[i].len(),
-                t.size()
-            ),
-            ParseOutcome::Ambig(t) => format!(
-                "{name}: AMBIGUOUS input ({} tokens); one of its parse trees has {} nodes",
-                words[i].len(),
-                t.size()
-            ),
-            ParseOutcome::Reject(reason) => match &item.result {
-                BatchItemResult::Recovered(r) => {
-                    let errors = r.diagnostics.len();
-                    let skipped: usize = r.diagnostics.iter().map(|d| d.skipped).sum();
-                    format!(
-                        "{name}: parsed with {errors} syntax error{} ({} tokens, {skipped} skipped)",
-                        if errors == 1 { "" } else { "s" },
-                        words[i].len()
-                    )
-                }
-                BatchItemResult::Plain(_) => {
-                    format!("{name}: reject: {}", render::describe_reject(g, reason))
-                }
-            },
-            ParseOutcome::Error(e) => {
-                format!("{name}: error: {}", render::describe_error(g, e))
-            }
-            ParseOutcome::Aborted(r) => format!(
-                "{name}: aborted: {r} — input neither accepted nor rejected ({})",
-                abort_hint(r)
-            ),
-        };
-        verdict(line);
+        let line = verdict_line(g, item, words[i].len());
+        print_line(json_mode, &format!("{name}: {line}"));
         if opts.tree {
             if let Some(t) = item.tree() {
                 print!("{}", t.render(g.symbols()));
@@ -729,16 +602,12 @@ fn cmd_parse_batch(
                 doc.push(',');
             }
             let outcome = match (&item.result, item.outcome()) {
-                (_, ParseOutcome::Unique(_)) => "unique",
-                (_, ParseOutcome::Ambig(_)) => "ambiguous",
                 (BatchItemResult::Recovered(_), ParseOutcome::Reject(_)) => "recovered",
-                (BatchItemResult::Plain(_), ParseOutcome::Reject(_)) => "reject",
-                (_, ParseOutcome::Error(_)) => "error",
-                (_, ParseOutcome::Aborted(_)) => "aborted",
+                (_, o) => outcome_word(o),
             };
             doc.push_str(&format!(
-                "{{\"file\":\"{}\",\"tokens\":{},\"outcome\":\"{outcome}\",\"exit\":{}",
-                render::json_escape(&names[i]),
+                "{{\"file\":{},\"tokens\":{},\"outcome\":\"{outcome}\",\"exit\":{}",
+                json_string(&names[i]),
                 words[i].len(),
                 item.exit_code()
             ));
@@ -948,13 +817,7 @@ fn cmd_edit(
 
     // With `--format=json` stdout carries the document; human lines move
     // to stderr (the same contract as `parse --stats=json`).
-    let verdict = |line: String| {
-        if json_mode {
-            eprintln!("{line}");
-        } else {
-            println!("{line}");
-        }
-    };
+    let verdict = |line: String| print_line(json_mode, &line);
 
     let mut rows: Vec<EditRow> = Vec::new();
     let mut error: Option<String> = None;
@@ -1123,9 +986,9 @@ fn cmd_edit(
 
     if json_mode {
         let mut doc = format!(
-            "{{\"file\":\"{}\",\"lang\":\"{}\",\"incremental\":{incremental},\"edits\":[",
-            render::json_escape(file),
-            render::json_escape(language.name),
+            "{{\"file\":{},\"lang\":{},\"incremental\":{incremental},\"edits\":[",
+            json_string(file),
+            json_string(language.name),
         );
         for (i, r) in rows.iter().enumerate() {
             if i > 0 {
@@ -1135,7 +998,7 @@ fn cmd_edit(
         }
         doc.push(']');
         if let Some(e) = &error {
-            doc.push_str(&format!(",\"error\":\"{}\"", render::json_escape(e)));
+            doc.push_str(&format!(",\"error\":{}", json_string(e)));
         }
         doc.push_str(&format!(",\"exit\":{exit}}}"));
         println!("{doc}");

@@ -1,6 +1,7 @@
 //! Rendering grammars back to readable text (for `check --eliminate-lr`).
 
 use costar::{ParseError, RejectReason};
+use costar_grammar::lint::json_string;
 use costar_grammar::{Grammar, Span, Symbol};
 
 /// Renders a span suffix (" (line L, column C)") when the tokens carried
@@ -85,23 +86,6 @@ pub fn describe_diagnostic(g: &Grammar, d: &costar::Diagnostic) -> String {
     out
 }
 
-/// Escapes a string for embedding in a JSON document.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Serializes a recovered parse as one machine-readable JSON object for
 /// `--recover=json`.
 pub fn recovery_report_json(g: &Grammar, r: &costar::RecoveredParse, num_tokens: usize) -> String {
@@ -128,12 +112,12 @@ pub fn recovery_report_json(g: &Grammar, r: &costar::RecoveredParse, num_tokens:
         let expected: Vec<String> = d
             .expected
             .iter()
-            .map(|t| format!("\"{}\"", json_escape(g.symbols().terminal_name(*t))))
+            .map(|t| json_string(g.symbols().terminal_name(*t)))
             .collect();
         out.push_str(&format!(
-            "{{\"at\":{},\"line\":{line},\"col\":{col},\"message\":\"{}\",\"expected\":[{}],\"skipped\":{},\"popped\":{}}}",
+            "{{\"at\":{},\"line\":{line},\"col\":{col},\"message\":{},\"expected\":[{}],\"skipped\":{},\"popped\":{}}}",
             d.at,
-            json_escape(&describe_reject(g, &d.reason)),
+            json_string(&describe_reject(g, &d.reason)),
             expected.join(","),
             d.skipped,
             d.popped

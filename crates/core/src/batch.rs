@@ -33,6 +33,12 @@
 //! Wall-clock fields (`total_nanos`, latency histograms) are measurement,
 //! not behavior, and are excluded from the contract.
 //!
+//! Each input, and the warm-cache warmup parse, runs through the crate's
+//! one parse driver — the same cache set-up, step loop and panic boundary
+//! as [`Parser`](crate::Parser): a panic while parsing one input clears
+//! that worker's cache and becomes that input's typed
+//! [`ParseOutcome::Error`], never a dead worker.
+//!
 //! ## Scheduling
 //!
 //! Work units are claimed from a shared atomic counter (dynamic load
@@ -45,21 +51,21 @@
 #![warn(clippy::disallowed_methods, clippy::disallowed_macros)]
 
 use crate::budget::Budget;
+use crate::driver::{CacheStart, Driver};
 use crate::error::ParseError;
-use crate::machine::{Machine, ParseOutcome, PredictionMode};
-use crate::observe::{MetricsObserver, ParseMetrics};
+use crate::machine::{ParseOutcome, PredictionMode};
+use crate::observe::{MetricsObserver, NullObserver, ParseMetrics};
 use crate::prediction::cache::SllCache;
-use crate::recover::{self, RecoveredParse};
+use crate::recover::RecoveredParse;
 use costar_grammar::analysis::GrammarAnalysis;
 use costar_grammar::{Grammar, Token, Tree};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
 /// Inputs with at least this many tokens get their own work unit;
-/// smaller ones are grouped (see [`BatchParser::with_small_input_threshold`]).
-pub const DEFAULT_SMALL_INPUT_THRESHOLD: usize = 256;
+/// smaller ones are grouped.
+const SMALL_INPUT_THRESHOLD: usize = 256;
 
 /// Upper bound on how many small inputs one work unit may group.
 const MAX_GROUP: usize = 64;
@@ -99,11 +105,9 @@ pub struct BatchParser {
     grammar: Arc<Grammar>,
     analysis: Arc<GrammarAnalysis>,
     budget: Budget,
-    mode: PredictionMode,
     jobs: usize,
     warm_cache: bool,
     auto_steps: bool,
-    small_input_threshold: usize,
 }
 
 /// What one input produced: a plain or a recovering parse result.
@@ -147,18 +151,11 @@ impl BatchItem {
     /// cleanly), 1 rejected or internal error, 3 budget abort, 4 parsed
     /// with recovered errors.
     pub fn exit_code(&self) -> i32 {
-        match &self.result {
-            BatchItemResult::Plain(o) => match o {
-                ParseOutcome::Unique(_) | ParseOutcome::Ambig(_) => 0,
-                ParseOutcome::Reject(_) | ParseOutcome::Error(_) => 1,
-                ParseOutcome::Aborted(_) => 3,
-            },
-            BatchItemResult::Recovered(r) => match &r.outcome {
-                ParseOutcome::Unique(_) | ParseOutcome::Ambig(_) => 0,
-                ParseOutcome::Reject(_) => 4,
-                ParseOutcome::Error(_) => 1,
-                ParseOutcome::Aborted(_) => 3,
-            },
+        match (&self.result, self.outcome()) {
+            (_, ParseOutcome::Unique(_) | ParseOutcome::Ambig(_)) => 0,
+            (BatchItemResult::Recovered(_), ParseOutcome::Reject(_)) => 4,
+            (_, ParseOutcome::Reject(_) | ParseOutcome::Error(_)) => 1,
+            (_, ParseOutcome::Aborted(_)) => 3,
         }
     }
 }
@@ -218,11 +215,9 @@ impl BatchParser {
             grammar,
             analysis,
             budget: Budget::unlimited(),
-            mode: PredictionMode::Adaptive,
             jobs: default_jobs(),
             warm_cache: false,
             auto_steps: false,
-            small_input_threshold: DEFAULT_SMALL_INPUT_THRESHOLD,
         }
     }
 
@@ -239,14 +234,6 @@ impl BatchParser {
     /// never shared across the batch.
     pub fn with_budget(mut self, budget: Budget) -> Self {
         self.budget = budget;
-        self
-    }
-
-    /// Sets the [`PredictionMode`] (ablation control, mirroring
-    /// [`Parser::with_ll_only`](crate::Parser::with_ll_only) /
-    /// [`Parser::with_no_static_fast_path`](crate::Parser::with_no_static_fast_path)).
-    pub fn with_mode(mut self, mode: PredictionMode) -> Self {
-        self.mode = mode;
         self
     }
 
@@ -279,14 +266,6 @@ impl BatchParser {
         self
     }
 
-    /// Sets the token-count threshold under which inputs are grouped
-    /// into shared work units (default
-    /// [`DEFAULT_SMALL_INPUT_THRESHOLD`]). `0` disables grouping.
-    pub fn with_small_input_threshold(mut self, tokens: usize) -> Self {
-        self.small_input_threshold = tokens;
-        self
-    }
-
     /// The shared grammar.
     pub fn grammar(&self) -> &Grammar {
         &self.grammar
@@ -315,7 +294,7 @@ impl BatchParser {
     }
 
     fn run<I: AsRef<[Token]> + Sync>(&self, inputs: &[I], recovering: bool) -> BatchResult {
-        let units = plan_units(inputs, self.small_input_threshold);
+        let units = plan_units(inputs, SMALL_INPUT_THRESHOLD);
         let jobs = self.jobs.min(units.len()).max(1);
         let warm = if self.warm_cache {
             inputs
@@ -373,28 +352,20 @@ impl BatchParser {
             }
         }
 
-        // Per-parse panics are caught inside parse_one; an empty slot can
-        // only mean a worker died outside that boundary. Fail the input
+        // Per-parse panics are caught by the parse driver; an empty slot
+        // can only mean a worker died outside that boundary. Fail the input
         // loudly rather than dropping it from the batch.
         let items: Vec<BatchItem> = slots
             .into_iter()
             .map(|slot| {
-                slot.unwrap_or_else(|| {
-                    let outcome = ParseOutcome::Error(ParseError::invalid_state(
-                        "batch worker died before producing a result".to_owned(),
-                    ));
-                    BatchItem {
-                        result: if recovering {
-                            BatchItemResult::Recovered(RecoveredParse {
-                                error_tree: None,
-                                diagnostics: Vec::new(),
-                                outcome,
-                            })
-                        } else {
-                            BatchItemResult::Plain(outcome)
-                        },
-                        metrics: ParseMetrics::default(),
-                    }
+                slot.unwrap_or_else(|| BatchItem {
+                    result: item_result(
+                        RecoveredParse::plain(ParseOutcome::Error(ParseError::invalid_state(
+                            "batch worker died before producing a result".to_owned(),
+                        ))),
+                        recovering,
+                    ),
+                    metrics: ParseMetrics::default(),
                 })
             })
             .collect();
@@ -412,32 +383,25 @@ impl BatchParser {
 
     /// Runs the warmup parse for warm-cache mode and returns the cache
     /// to snapshot. The result is discarded (see
-    /// [`BatchParser::with_warm_cache`]).
+    /// [`BatchParser::with_warm_cache`]); a panicking warmup leaves the
+    /// cache empty, so the batch falls back to cold caches (correctness
+    /// never depended on cache content).
     fn warm_snapshot(&self, word: &[Token]) -> SllCache {
-        let budget = self.effective_budget(word);
         let mut cache = SllCache::new();
-        cache.set_capacity(budget.max_cache_entries(), budget.max_cache_bytes());
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            let mut scratch = std::mem::take(&mut cache);
-            let outcome =
-                Machine::with_budget(&self.grammar, &self.analysis, word, self.mode, &budget)
-                    .run(&mut scratch);
-            (scratch, outcome)
-        }));
-        match result {
-            Ok((scratch, _outcome)) => scratch,
-            // A panicking warmup must not poison the batch: fall back to
-            // cold caches (correctness never depended on cache content).
-            Err(_) => SllCache::new(),
-        }
+        self.driver(word).parse(
+            word,
+            &mut cache,
+            CacheStart::Clear,
+            false,
+            &mut NullObserver,
+        );
+        cache
     }
 
-    /// One budgeted, observed, panic-safe parse — the batch-worker
-    /// counterpart of [`Parser::parse_observed`](crate::Parser::parse_observed)
-    /// / [`Parser::parse_recovering_observed`](crate::Parser::parse_recovering_observed).
-    /// The caller's cache is reset to the input's defined starting state
-    /// (warm snapshot clone, or empty) so results are independent of
-    /// what the worker parsed before.
+    /// One budgeted, observed, panic-safe parse through the crate's parse
+    /// driver. The caller's cache is reset to the input's defined
+    /// starting state (warm snapshot clone, or empty) so results are
+    /// independent of what the worker parsed before.
     fn parse_one(
         &self,
         word: &[Token],
@@ -445,54 +409,27 @@ impl BatchParser {
         warm: Option<&SllCache>,
         recovering: bool,
     ) -> BatchItem {
-        let budget = self.effective_budget(word);
-        match warm {
-            Some(snapshot) => cache.clone_from(snapshot),
-            None => cache.clear(),
-        }
-        cache.set_capacity(budget.max_cache_entries(), budget.max_cache_bytes());
+        let start = warm.map_or(CacheStart::Clear, CacheStart::Warm);
         let mut obs = MetricsObserver::new();
-        let start = Instant::now();
-        let result = if recovering {
-            let caught = catch_unwind(AssertUnwindSafe(|| {
-                let machine =
-                    Machine::with_budget(&self.grammar, &self.analysis, word, self.mode, &budget);
-                recover::run_recovering(
-                    &self.analysis,
-                    machine,
-                    cache,
-                    &mut obs,
-                    budget.max_recoveries(),
-                )
-            }));
-            match caught {
-                Ok(recovered) => BatchItemResult::Recovered(recovered),
-                Err(payload) => {
-                    cache.clear();
-                    BatchItemResult::Recovered(RecoveredParse {
-                        error_tree: None,
-                        diagnostics: Vec::new(),
-                        outcome: panic_outcome(payload),
-                    })
-                }
-            }
-        } else {
-            let caught = catch_unwind(AssertUnwindSafe(|| {
-                Machine::with_budget(&self.grammar, &self.analysis, word, self.mode, &budget)
-                    .run_observed(cache, &mut obs)
-            }));
-            match caught {
-                Ok(outcome) => BatchItemResult::Plain(outcome),
-                Err(payload) => {
-                    cache.clear();
-                    BatchItemResult::Plain(panic_outcome(payload))
-                }
-            }
-        };
-        let mut metrics = obs.into_metrics();
-        metrics.total_nanos = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        metrics.tokens = word.len();
-        BatchItem { result, metrics }
+        let clock = Instant::now();
+        let parsed = self
+            .driver(word)
+            .parse(word, cache, start, recovering, &mut obs);
+        BatchItem {
+            result: item_result(parsed, recovering),
+            metrics: obs.finish(word.len(), clock.elapsed()),
+        }
+    }
+
+    /// The parse driver for one input: the shared grammar context under
+    /// that input's [effective budget](BatchParser::effective_budget).
+    fn driver(&self, word: &[Token]) -> Driver<'_> {
+        Driver {
+            grammar: &self.grammar,
+            analysis: &self.analysis,
+            mode: PredictionMode::Adaptive,
+            budget: self.effective_budget(word),
+        }
     }
 
     /// The budget one input actually parses under: the configured budget,
@@ -508,19 +445,14 @@ impl BatchParser {
     }
 }
 
-/// Maps a caught panic payload to the same typed outcome
-/// [`Parser::parse`](crate::Parser::parse) produces.
-fn panic_outcome(payload: Box<dyn std::any::Any + Send>) -> ParseOutcome {
-    let msg: &str = if let Some(s) = payload.downcast_ref::<&str>() {
-        s
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.as_str()
+/// Wraps a driven parse as a batch item result: the whole recovered
+/// parse for recovering batches, its outcome alone for plain ones.
+fn item_result(parsed: RecoveredParse, recovering: bool) -> BatchItemResult {
+    if recovering {
+        BatchItemResult::Recovered(parsed)
     } else {
-        "non-string panic payload"
-    };
-    ParseOutcome::Error(ParseError::invalid_state(format!(
-        "panic during parse: {msg}"
-    )))
+        BatchItemResult::Plain(parsed.outcome)
+    }
 }
 
 /// The default worker count: the machine's available parallelism.
@@ -739,20 +671,23 @@ mod tests {
         big_word.push(("c", "c"));
         let big = tokens(&mut tab, &big_word);
         let inputs = vec![small.clone(), small.clone(), big, small];
-        let units = plan_units(&inputs, DEFAULT_SMALL_INPUT_THRESHOLD);
+        let units = plan_units(&inputs, SMALL_INPUT_THRESHOLD);
         assert_eq!(units, vec![vec![0, 1], vec![2], vec![3]]);
         // Threshold 0 disables grouping.
         let units = plan_units(&inputs, 0);
         assert_eq!(units.len(), 4);
-        // Grouping never changes results.
+        // Grouping never changes results: every input of the mixed batch
+        // matches a sequential parse of that input alone.
         let grouped = BatchParser::new(fig2()).with_jobs(2).parse_many(&inputs);
-        let ungrouped = BatchParser::new(fig2())
-            .with_jobs(2)
-            .with_small_input_threshold(0)
-            .parse_many(&inputs);
-        for (a, b) in grouped.items.iter().zip(ungrouped.items.iter()) {
-            assert_eq!(a.outcome(), b.outcome());
-            assert_eq!(a.metrics.deterministic(), b.metrics.deterministic());
+        let mut seq = Parser::new(fig2());
+        for (i, (item, word)) in grouped.items.iter().zip(&inputs).enumerate() {
+            let (outcome, metrics) = seq.parse_with_metrics(word);
+            assert_eq!(item.outcome(), &outcome, "input {i}");
+            assert_eq!(
+                item.metrics.deterministic(),
+                metrics.deterministic(),
+                "input {i}"
+            );
         }
     }
 

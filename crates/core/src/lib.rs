@@ -78,6 +78,7 @@
 pub mod batch;
 pub mod bignat;
 pub mod budget;
+mod driver;
 mod error;
 #[cfg(feature = "faults")]
 pub mod faults;

@@ -11,6 +11,7 @@
 
 #![warn(clippy::disallowed_methods, clippy::disallowed_macros)]
 use crate::budget::{AbortReason, Budget, Meter};
+use crate::driver::{self, OnReject};
 use crate::error::{ParseError, RejectReason};
 use crate::observe::{MachineOp, NullObserver, ParseObserver};
 use crate::prediction::cache::SllCache;
@@ -183,6 +184,11 @@ impl<'a> Machine<'a> {
     /// The grammar being interpreted.
     pub fn grammar(&self) -> &'a Grammar {
         self.grammar
+    }
+
+    /// The grammar analyses prediction and recovery consult.
+    pub(crate) fn analysis(&self) -> &'a GrammarAnalysis {
+        self.analysis
     }
 
     /// Units of fuel spent so far: machine operations plus prediction
@@ -407,42 +413,10 @@ impl<'a> Machine<'a> {
 
     /// [`run`](Machine::run) with a [`ParseObserver`] receiving every
     /// event, including a final [`ParseObserver::on_finish`] carrying the
-    /// meter's total fuel count.
-    pub fn run_observed<O: ParseObserver>(
-        mut self,
-        cache: &mut SllCache,
-        obs: &mut O,
-    ) -> ParseOutcome {
-        let outcome = loop {
-            match self.step_observed(cache, obs) {
-                StepResult::Cont => continue,
-                StepResult::Accept(tree) => {
-                    break if self.state.unique {
-                        ParseOutcome::Unique(tree)
-                    } else {
-                        ParseOutcome::Ambig(tree)
-                    }
-                }
-                StepResult::Reject(r) => break ParseOutcome::Reject(r),
-                StepResult::Error(e) => break ParseOutcome::Error(e),
-                StepResult::Abort(r) => break ParseOutcome::Aborted(r),
-            }
-        };
-        // The cost certificate's claim covers accepting and rejecting
-        // parses: check those against the certified bound, so a deflated
-        // certificate surfaces dynamically (mirroring the lookahead
-        // certificate check in prediction). Errors and aborts are outside
-        // the claim — an abort in particular stops *because* fuel ran
-        // out, which says nothing about the bound.
-        if matches!(
-            outcome,
-            ParseOutcome::Unique(_) | ParseOutcome::Ambig(_) | ParseOutcome::Reject(_)
-        ) {
-            let bound = self.analysis.cost.bound_for(self.tokens.len() as u64);
-            obs.on_cost_check(bound, self.meter.steps_taken() <= bound);
-        }
-        obs.on_finish(self.meter.steps_taken());
-        outcome
+    /// meter's total fuel count. This is the crate's one step loop (the
+    /// parse driver's) with syntax-error recovery off.
+    pub fn run_observed<O: ParseObserver>(self, cache: &mut SllCache, obs: &mut O) -> ParseOutcome {
+        driver::run(self, cache, obs, OnReject::Stop).outcome
     }
 }
 

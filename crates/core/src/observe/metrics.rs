@@ -5,7 +5,7 @@ use super::{MachineOp, ParseObserver, PredictOutcome, PredictPhase};
 use crate::budget::AbortReason;
 use costar_grammar::NonTerminal;
 use std::fmt::Write as _;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 const BUCKETS: usize = 40;
 
@@ -427,6 +427,15 @@ impl MetricsObserver {
     /// Consumes the observer, yielding its metrics.
     pub fn into_metrics(self) -> ParseMetrics {
         self.m
+    }
+
+    /// Consumes the observer, yielding its metrics with the parse's input
+    /// size (`tokens`) and wall-clock time (`total_nanos`) filled in.
+    pub fn finish(self, tokens: usize, elapsed: Duration) -> ParseMetrics {
+        let mut m = self.m;
+        m.tokens = tokens;
+        m.total_nanos = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
+        m
     }
 }
 

@@ -226,120 +226,46 @@ pub struct NullObserver;
 
 impl ParseObserver for NullObserver {}
 
+/// Implements each listed hook by forwarding it to both observers of a
+/// pair, first then second.
+macro_rules! forward_to_pair {
+    ($($hook:ident($($arg:ident: $ty:ty),*);)*) => {
+        $(
+            #[inline]
+            fn $hook(&mut self, $($arg: $ty),*) {
+                self.0.$hook($($arg),*);
+                self.1.$hook($($arg),*);
+            }
+        )*
+    };
+}
+
 /// A pair of observers receiving every event, in order. Composes e.g. a
 /// [`MetricsObserver`] with a [`TraceObserver`] for one parse.
 impl<A: ParseObserver, B: ParseObserver> ParseObserver for (A, B) {
-    #[inline]
-    fn on_machine_step(&mut self, cursor: usize, stack_height: usize) {
-        self.0.on_machine_step(cursor, stack_height);
-        self.1.on_machine_step(cursor, stack_height);
-    }
-    #[inline]
-    fn on_op(&mut self, op: MachineOp, cursor: usize, stack_height: usize) {
-        self.0.on_op(op, cursor, stack_height);
-        self.1.on_op(op, cursor, stack_height);
-    }
-    #[inline]
-    fn on_predict_start(&mut self, x: NonTerminal, phase: PredictPhase) {
-        self.0.on_predict_start(x, phase);
-        self.1.on_predict_start(x, phase);
-    }
-    #[inline]
-    fn on_lookahead(&mut self, phase: PredictPhase) {
-        self.0.on_lookahead(phase);
-        self.1.on_lookahead(phase);
-    }
-    #[inline]
-    fn on_predict_end(&mut self, x: NonTerminal, phase: PredictPhase, outcome: PredictOutcome) {
-        self.0.on_predict_end(x, phase, outcome);
-        self.1.on_predict_end(x, phase, outcome);
-    }
-    #[inline]
-    fn on_decision(&mut self, x: NonTerminal) {
-        self.0.on_decision(x);
-        self.1.on_decision(x);
-    }
-    #[inline]
-    fn on_single_alt(&mut self, x: NonTerminal) {
-        self.0.on_single_alt(x);
-        self.1.on_single_alt(x);
-    }
-    #[inline]
-    fn on_sll_resolved(&mut self, x: NonTerminal) {
-        self.0.on_sll_resolved(x);
-        self.1.on_sll_resolved(x);
-    }
-    #[inline]
-    fn on_failover(&mut self, x: NonTerminal) {
-        self.0.on_failover(x);
-        self.1.on_failover(x);
-    }
-    #[inline]
-    fn on_static_fast_path(&mut self, x: NonTerminal) {
-        self.0.on_static_fast_path(x);
-        self.1.on_static_fast_path(x);
-    }
-    #[inline]
-    fn on_certificate_check(&mut self, x: NonTerminal, ok: bool) {
-        self.0.on_certificate_check(x, ok);
-        self.1.on_certificate_check(x, ok);
-    }
-    #[inline]
-    fn on_cache_lookup(&mut self) {
-        self.0.on_cache_lookup();
-        self.1.on_cache_lookup();
-    }
-    #[inline]
-    fn on_cache_hit(&mut self) {
-        self.0.on_cache_hit();
-        self.1.on_cache_hit();
-    }
-    #[inline]
-    fn on_cache_miss(&mut self) {
-        self.0.on_cache_miss();
-        self.1.on_cache_miss();
-    }
-    #[inline]
-    fn on_cache_evictions(&mut self, evicted: u64) {
-        self.0.on_cache_evictions(evicted);
-        self.1.on_cache_evictions(evicted);
-    }
-    #[inline]
-    fn on_closure_step(&mut self) {
-        self.0.on_closure_step();
-        self.1.on_closure_step();
-    }
-    #[inline]
-    fn on_abort(&mut self, reason: &AbortReason) {
-        self.0.on_abort(reason);
-        self.1.on_abort(reason);
-    }
-    #[inline]
-    fn on_recovery(&mut self, cursor: usize, reason: &crate::error::RejectReason) {
-        self.0.on_recovery(cursor, reason);
-        self.1.on_recovery(cursor, reason);
-    }
-    #[inline]
-    fn on_resync_skip(&mut self, cursor: usize) {
-        self.0.on_resync_skip(cursor);
-        self.1.on_resync_skip(cursor);
-    }
-    #[inline]
-    fn on_cost_check(&mut self, predicted_steps: u64, within_bound: bool) {
-        self.0.on_cost_check(predicted_steps, within_bound);
-        self.1.on_cost_check(predicted_steps, within_bound);
-    }
-    #[inline]
-    fn on_incremental_relex(&mut self, tokens_relexed: u64, tokens_reused: u64, micros: u64) {
-        self.0
-            .on_incremental_relex(tokens_relexed, tokens_reused, micros);
-        self.1
-            .on_incremental_relex(tokens_relexed, tokens_reused, micros);
-    }
-    #[inline]
-    fn on_finish(&mut self, meter_steps: u64) {
-        self.0.on_finish(meter_steps);
-        self.1.on_finish(meter_steps);
+    forward_to_pair! {
+        on_machine_step(cursor: usize, stack_height: usize);
+        on_op(op: MachineOp, cursor: usize, stack_height: usize);
+        on_predict_start(x: NonTerminal, phase: PredictPhase);
+        on_lookahead(phase: PredictPhase);
+        on_predict_end(x: NonTerminal, phase: PredictPhase, outcome: PredictOutcome);
+        on_decision(x: NonTerminal);
+        on_single_alt(x: NonTerminal);
+        on_sll_resolved(x: NonTerminal);
+        on_failover(x: NonTerminal);
+        on_static_fast_path(x: NonTerminal);
+        on_certificate_check(x: NonTerminal, ok: bool);
+        on_cache_lookup();
+        on_cache_hit();
+        on_cache_miss();
+        on_cache_evictions(evicted: u64);
+        on_closure_step();
+        on_abort(reason: &AbortReason);
+        on_recovery(cursor: usize, reason: &crate::error::RejectReason);
+        on_resync_skip(cursor: usize);
+        on_cost_check(predicted_steps: u64, within_bound: bool);
+        on_incremental_relex(tokens_relexed: u64, tokens_reused: u64, micros: u64);
+        on_finish(meter_steps: u64);
     }
 }
 

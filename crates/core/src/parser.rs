@@ -13,7 +13,8 @@
 //! optimization ANTLR uses and the paper measures in Fig. 11 — via
 //! [`Parser::with_cache_reuse`].
 //!
-//! [`Parser::parse`] is additionally a *panic-safe* boundary: any panic
+//! Every `Parser` parse, plain or recovering, runs through the crate's
+//! one parse driver, which is also the *panic-safe* boundary: any panic
 //! raised below it (a bug in the parser, not in the caller's input) is
 //! caught, the prediction cache is discarded, and the panic surfaces as a
 //! typed [`ParseOutcome::Error`] with
@@ -21,24 +22,14 @@
 
 #![warn(clippy::disallowed_methods, clippy::disallowed_macros)]
 use crate::budget::Budget;
-use crate::error::ParseError;
+use crate::driver::{CacheStart, Driver};
 use crate::machine::{Machine, ParseOutcome, PredictionMode};
 use crate::observe::{MetricsObserver, NullObserver, ParseMetrics, ParseObserver};
 use crate::prediction::cache::{CacheStats, PredictionStats, SllCache};
-use crate::recover::{self, RecoveredParse};
+use crate::recover::RecoveredParse;
 use costar_grammar::analysis::GrammarAnalysis;
 use costar_grammar::{Grammar, NonTerminal, Token};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
-
-/// Cache policy across inputs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum CachePolicy {
-    /// Fresh cache per input — the published CoStar behavior (§6.2).
-    PerInput,
-    /// Persistent cache across inputs — ANTLR's behavior, our extension.
-    Persistent,
-}
 
 /// A reusable ALL(*) parser for one grammar.
 ///
@@ -69,7 +60,10 @@ pub struct Parser {
     grammar: Grammar,
     analysis: GrammarAnalysis,
     cache: SllCache,
-    policy: CachePolicy,
+    /// Where each parse's cache starts: cleared per input (the published
+    /// CoStar behavior, §6.2) or kept across inputs (ANTLR's behavior,
+    /// our extension).
+    cache_start: CacheStart<'static>,
     mode: PredictionMode,
     budget: Budget,
 }
@@ -83,7 +77,7 @@ impl Parser {
             grammar,
             analysis,
             cache: SllCache::new(),
-            policy: CachePolicy::PerInput,
+            cache_start: CacheStart::Clear,
             mode: PredictionMode::Adaptive,
             budget: Budget::unlimited(),
         }
@@ -108,7 +102,7 @@ impl Parser {
             grammar,
             analysis,
             cache,
-            policy: CachePolicy::PerInput,
+            cache_start: CacheStart::Clear,
             mode: PredictionMode::Adaptive,
             budget: Budget::unlimited(),
         }
@@ -151,7 +145,7 @@ impl Parser {
     /// extension; ANTLR's default behavior).
     pub fn with_cache_reuse(grammar: Grammar) -> Self {
         let mut p = Parser::new(grammar);
-        p.policy = CachePolicy::Persistent;
+        p.cache_start = CacheStart::Keep;
         p
     }
 
@@ -195,11 +189,11 @@ impl Parser {
 
     /// Parses `word`, starting from the grammar's start symbol.
     ///
-    /// This is the crate's panic-safe boundary: a panic anywhere below
-    /// (which for a well-formed grammar indicates a parser bug, never a
-    /// property of the input) is caught, the possibly-inconsistent
-    /// prediction cache is discarded, and the result is
-    /// [`ParseOutcome::Error`] rather than an unwinding panic.
+    /// This is a panic-safe boundary: a panic anywhere below (which for a
+    /// well-formed grammar indicates a parser bug, never a property of the
+    /// input) is caught, the possibly-inconsistent prediction cache is
+    /// discarded, and the result is [`ParseOutcome::Error`] rather than an
+    /// unwinding panic.
     pub fn parse(&mut self, word: &[Token]) -> ParseOutcome {
         self.parse_observed(word, &mut NullObserver)
     }
@@ -212,36 +206,7 @@ impl Parser {
         word: &[Token],
         obs: &mut O,
     ) -> ParseOutcome {
-        if self.policy == CachePolicy::PerInput {
-            self.cache.clear();
-        }
-        self.cache.set_capacity(
-            self.budget.max_cache_entries(),
-            self.budget.max_cache_bytes(),
-        );
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            Machine::with_budget(&self.grammar, &self.analysis, word, self.mode, &self.budget)
-                .run_observed(&mut self.cache, obs)
-        }));
-        match result {
-            Ok(outcome) => outcome,
-            Err(payload) => {
-                // The panic may have interrupted a cache mutation; drop
-                // everything cached so the parser stays usable (this is
-                // what makes the AssertUnwindSafe above sound).
-                self.cache.clear();
-                let msg: &str = if let Some(s) = payload.downcast_ref::<&str>() {
-                    s
-                } else if let Some(s) = payload.downcast_ref::<String>() {
-                    s.as_str()
-                } else {
-                    "non-string panic payload"
-                };
-                ParseOutcome::Error(ParseError::invalid_state(format!(
-                    "panic during parse: {msg}"
-                )))
-            }
-        }
+        self.drive(word, false, obs).outcome
     }
 
     /// Parses `word` with syntax-error recovery: instead of stopping at
@@ -273,44 +238,7 @@ impl Parser {
         word: &[Token],
         obs: &mut O,
     ) -> RecoveredParse {
-        if self.policy == CachePolicy::PerInput {
-            self.cache.clear();
-        }
-        self.cache.set_capacity(
-            self.budget.max_cache_entries(),
-            self.budget.max_cache_bytes(),
-        );
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            let machine =
-                Machine::with_budget(&self.grammar, &self.analysis, word, self.mode, &self.budget);
-            recover::run_recovering(
-                &self.analysis,
-                machine,
-                &mut self.cache,
-                obs,
-                self.budget.max_recoveries(),
-            )
-        }));
-        match result {
-            Ok(recovered) => recovered,
-            Err(payload) => {
-                self.cache.clear();
-                let msg: &str = if let Some(s) = payload.downcast_ref::<&str>() {
-                    s
-                } else if let Some(s) = payload.downcast_ref::<String>() {
-                    s.as_str()
-                } else {
-                    "non-string panic payload"
-                };
-                RecoveredParse {
-                    error_tree: None,
-                    diagnostics: Vec::new(),
-                    outcome: ParseOutcome::Error(ParseError::invalid_state(format!(
-                        "panic during parse: {msg}"
-                    ))),
-                }
-            }
-        }
+        self.drive(word, true, obs)
     }
 
     /// [`Parser::parse_recovering`] with a [`MetricsObserver`] attached:
@@ -320,13 +248,7 @@ impl Parser {
         &mut self,
         word: &[Token],
     ) -> (RecoveredParse, ParseMetrics) {
-        let mut obs = MetricsObserver::new();
-        let start = Instant::now();
-        let recovered = self.parse_recovering_observed(word, &mut obs);
-        let mut metrics = obs.into_metrics();
-        metrics.total_nanos = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        metrics.tokens = word.len();
-        (recovered, metrics)
+        self.drive_with_metrics(word, true)
     }
 
     /// Parses `word` while measuring it: runs [`Parser::parse_observed`]
@@ -334,13 +256,37 @@ impl Parser {
     /// the full [`ParseMetrics`] — counters, latency histograms, input
     /// size, and wall-clock time.
     pub fn parse_with_metrics(&mut self, word: &[Token]) -> (ParseOutcome, ParseMetrics) {
+        let (parsed, metrics) = self.drive_with_metrics(word, false);
+        (parsed.outcome, metrics)
+    }
+
+    /// Runs one parse through the crate's parse driver, starting from
+    /// the cache state this parser's policy calls for.
+    pub(crate) fn drive<O: ParseObserver>(
+        &mut self,
+        word: &[Token],
+        recovering: bool,
+        obs: &mut O,
+    ) -> RecoveredParse {
+        let driver = Driver {
+            grammar: &self.grammar,
+            analysis: &self.analysis,
+            mode: self.mode,
+            budget: self.budget,
+        };
+        driver.parse(word, &mut self.cache, self.cache_start, recovering, obs)
+    }
+
+    /// [`Parser::drive`] under a [`MetricsObserver`], timed.
+    fn drive_with_metrics(
+        &mut self,
+        word: &[Token],
+        recovering: bool,
+    ) -> (RecoveredParse, ParseMetrics) {
         let mut obs = MetricsObserver::new();
         let start = Instant::now();
-        let outcome = self.parse_observed(word, &mut obs);
-        let mut metrics = obs.into_metrics();
-        metrics.total_nanos = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        metrics.tokens = word.len();
-        (outcome, metrics)
+        let parsed = self.drive(word, recovering, &mut obs);
+        (parsed, obs.finish(word.len(), start.elapsed()))
     }
 
     /// SLL cache effectiveness counters (non-zero across calls only with

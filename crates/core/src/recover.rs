@@ -1,16 +1,17 @@
-//! Syntax-error recovery: a resynchronizing driver over the stack machine.
+//! Syntax-error recovery: what the parse driver does with a rejection.
 //!
 //! The paper's parser is a *decision procedure*: the first failed consume
 //! or failed prediction rejects the input and the machine halts. Tooling
 //! built on a parser (formatters, language servers, batch validators)
 //! wants the opposite contract — parse as much as possible, report *every*
 //! error, and return a tree that covers the whole input. This module adds
-//! that contract as a layer on top of [`Machine`], without touching the
-//! verified-core step function:
+//! that contract on top of [`Machine`], without touching the
+//! verified-core step function or adding a second step loop:
 //!
-//! * the machine runs exactly as in a plain parse until a step would
-//!   produce [`StepResult::Reject`];
-//! * the driver then records a structured [`Diagnostic`] and performs
+//! * a recovering parse runs the parse driver's one loop, exactly as a
+//!   plain parse does, until a step would produce [`StepResult::Reject`];
+//! * the loop then hands the machine to `recover_once`, which records a
+//!   structured [`Diagnostic`] and performs
 //!   **panic-mode resynchronization**: using the sync sets precomputed by
 //!   the grammar analysis ([`costar_grammar::analysis::SyncSets`]:
 //!   FIRST ∪ FOLLOW per nonterminal)
@@ -24,10 +25,16 @@
 //! * parsing resumes, repeating on later errors, bounded by
 //!   [`Budget::with_max_recoveries`](crate::Budget::with_max_recoveries).
 //!
+//! The cache set-up and the panic boundary are the driver's, shared with
+//! plain parses: a panic during recovery surfaces as the same typed
+//! [`ParseOutcome::Error`] a plain parse reports.
+//!
+//! [`StepResult::Reject`]: crate::StepResult::Reject
+//!
 //! ## Soundness on valid input
 //!
 //! On a word the grammar accepts, the machine never produces `Reject`, so
-//! the driver never intervenes: [`Parser::parse_recovering`] takes the
+//! recovery never runs: [`Parser::parse_recovering`] takes the
 //! byte-identical step sequence as [`Parser::parse`] and returns the
 //! identical tree with zero diagnostics. The `H-RECOVER-SOUND` harness in
 //! `crates/verify` checks exactly this (proptest + bounded kani).
@@ -45,12 +52,10 @@
 //! [`Parser::parse`]: crate::Parser::parse
 
 #![warn(clippy::disallowed_methods, clippy::disallowed_macros)]
-use crate::budget::AbortReason;
 use crate::error::RejectReason;
-use crate::machine::{Machine, ParseOutcome, StepResult};
+use crate::machine::{Machine, ParseOutcome};
 use crate::observe::ParseObserver;
-use crate::prediction::cache::SllCache;
-use crate::state::SuffixFrame;
+use crate::state::{MachineState, SuffixFrame};
 use costar_grammar::analysis::GrammarAnalysis;
 use costar_grammar::{ErrorNode, NonTerminal, Span, Symbol, Terminal, Token, Tree};
 use std::fmt;
@@ -112,6 +117,15 @@ pub struct RecoveredParse {
 }
 
 impl RecoveredParse {
+    /// A result carrying only `outcome`: no diagnostics, no error tree.
+    pub(crate) fn plain(outcome: ParseOutcome) -> Self {
+        RecoveredParse {
+            error_tree: None,
+            diagnostics: Vec::new(),
+            outcome,
+        }
+    }
+
     /// `true` when the input parsed cleanly — no diagnostics, accepted.
     pub fn is_clean(&self) -> bool {
         self.diagnostics.is_empty() && self.outcome.is_accept()
@@ -122,18 +136,12 @@ impl RecoveredParse {
     /// whose yield (including skipped tokens) still spells the entire
     /// input. `None` when the parse ended in an internal error or abort.
     pub fn tree(&self) -> Option<&Tree> {
-        match &self.outcome {
-            ParseOutcome::Unique(t) | ParseOutcome::Ambig(t) => Some(t),
-            _ => self.error_tree.as_ref(),
-        }
+        self.outcome.tree().or(self.error_tree.as_ref())
     }
 
     /// Consumes the result, yielding the tree (see [`RecoveredParse::tree`]).
     pub fn into_tree(self) -> Option<Tree> {
-        match self.outcome {
-            ParseOutcome::Unique(t) | ParseOutcome::Ambig(t) => Some(t),
-            _ => self.error_tree,
-        }
+        self.outcome.into_tree().or(self.error_tree)
     }
 }
 
@@ -146,72 +154,13 @@ struct Plan {
     target_dot: usize,
 }
 
-/// Drives `machine` to completion, recovering from every rejection.
-/// `max_recoveries` bounds how many errors are recovered before giving up
-/// with [`AbortReason::RecoveryLimit`].
-pub(crate) fn run_recovering<O: ParseObserver>(
-    analysis: &GrammarAnalysis,
-    mut machine: Machine<'_>,
-    cache: &mut SllCache,
-    obs: &mut O,
-    max_recoveries: Option<u64>,
-) -> RecoveredParse {
-    let tokens = machine.tokens();
-    let mut diagnostics: Vec<Diagnostic> = Vec::new();
-    let mut last_recovery_cursor: Option<usize> = None;
-
-    let start = machine.grammar().start();
-    let (error_tree, outcome) = loop {
-        // Recovery can leave error nodes as siblings of the root in the
-        // bottom frame; the machine's accept step requires exactly one
-        // final tree, so fold them under a start-symbol node first.
-        if !diagnostics.is_empty() {
-            normalize_final_forest(&mut machine, tokens.len(), start);
-        }
-        match machine.step_observed(cache, obs) {
-            StepResult::Cont => continue,
-            StepResult::Accept(tree) => {
-                // Clean parses hand the tree to the outcome (mirroring
-                // `Parser::parse` with no clone); recovered parses keep
-                // the error tree alongside the first rejection.
-                break match diagnostics.first() {
-                    Some(d) => (Some(tree), ParseOutcome::Reject(d.reason.clone())),
-                    None if machine.state().unique => (None, ParseOutcome::Unique(tree)),
-                    None => (None, ParseOutcome::Ambig(tree)),
-                };
-            }
-            StepResult::Error(e) => break (None, ParseOutcome::Error(e)),
-            StepResult::Abort(r) => break (None, ParseOutcome::Aborted(r)),
-            StepResult::Reject(reason) => {
-                if let Some(limit) = max_recoveries {
-                    if diagnostics.len() as u64 >= limit {
-                        let abort = AbortReason::RecoveryLimit { limit };
-                        obs.on_abort(&abort);
-                        break (None, ParseOutcome::Aborted(abort));
-                    }
-                }
-                let cursor = machine.state().cursor;
-                obs.on_recovery(cursor, &reason);
-                let force_skip = last_recovery_cursor == Some(cursor);
-                last_recovery_cursor = Some(cursor);
-                let diag = recover_once(analysis, &mut machine, tokens, obs, reason, force_skip);
-                diagnostics.push(diag);
-            }
-        }
-    };
-    obs.on_finish(machine.steps_taken());
-    RecoveredParse {
-        error_tree,
-        diagnostics,
-        outcome,
-    }
-}
-
 /// If the machine has reached its final configuration (one exhausted
 /// frame, all input consumed) but recovery left several trees in the
 /// bottom frame — error nodes alongside the root — wraps them all under
 /// one start-symbol node so the machine's accept step can fire.
-fn normalize_final_forest(machine: &mut Machine<'_>, input_len: usize, start: NonTerminal) {
+pub(crate) fn normalize_final_forest(machine: &mut Machine<'_>) {
+    let input_len = machine.tokens().len();
+    let start = machine.grammar().start();
     let st = machine.state_mut();
     if st.cursor < input_len || st.suffix.len() != 1 {
         return;
@@ -230,14 +179,16 @@ fn normalize_final_forest(machine: &mut Machine<'_>, input_len: usize, start: No
 
 /// Performs one panic-mode recovery for `reason`, mutating the machine
 /// state so the next step can make progress. Returns the diagnostic.
-fn recover_once<O: ParseObserver>(
-    analysis: &GrammarAnalysis,
+/// `force_skip` is the stall guard: set when the previous recovery ran at
+/// the same input position, it makes this one skip at least one token.
+pub(crate) fn recover_once<O: ParseObserver>(
     machine: &mut Machine<'_>,
-    tokens: &[Token],
     obs: &mut O,
     reason: RejectReason,
     force_skip: bool,
 ) -> Diagnostic {
+    let analysis = machine.analysis();
+    let tokens = machine.tokens();
     let expected = expected_terminals(analysis, &reason);
     let (skipped, popped) = match reason {
         RejectReason::TrailingInput { .. } => {
@@ -373,7 +324,7 @@ fn find_plan(
 /// plan targeting frame `target` pops every frame above it? The pops
 /// remove the popped frames' callers from `visited`, so `x` stays open
 /// only if it is visited now and is not one of those callers.
-fn open_after_pops(st: &crate::state::MachineState, target: usize, x: NonTerminal) -> bool {
+fn open_after_pops(st: &MachineState, target: usize, x: NonTerminal) -> bool {
     st.visited.contains(x)
         && !st
             .suffix
@@ -396,19 +347,7 @@ fn execute_plan<O: ParseObserver>(
     let end = machine.state().cursor.saturating_add(plan.skip);
     skip_tokens(machine, tokens, obs, end, &mut skipped_tokens);
     let st = machine.state_mut();
-    let mut popped = 0usize;
-    while st.suffix.len() > plan.target_frame.saturating_add(1) {
-        let (Some(done), Some(partial)) = (st.suffix.pop(), st.prefix.pop()) else {
-            break;
-        };
-        if let (Some(x), Some(below)) = (done.caller, st.prefix.last_mut()) {
-            // Preserve the abandoned frame's partial derivation as an
-            // (incomplete) node — its consumed tokens stay in the tree.
-            below.trees.push(Tree::Node(x, partial.trees));
-            st.visited.remove(x);
-        }
-        popped += 1;
-    }
+    let popped = pop_frames(st, plan.target_frame.saturating_add(1));
     if let Some(frame) = st.suffix.last_mut() {
         frame.dot = plan.target_dot;
     }
@@ -485,8 +424,19 @@ fn close_all_frames(
     if let Some(frame) = st.prefix.last_mut() {
         frame.trees.push(Tree::Error(node));
     }
+    let popped = pop_frames(st, 1);
+    if let Some(bottom) = st.suffix.first_mut() {
+        bottom.dot = bottom.rhs.len();
+    }
+    popped
+}
+
+/// Pops unfinished frames until `keep` remain, preserving each abandoned
+/// frame's partial derivation as an (incomplete) node in the frame below
+/// — its consumed tokens stay in the tree. Returns the number popped.
+fn pop_frames(st: &mut MachineState, keep: usize) -> usize {
     let mut popped = 0usize;
-    while st.suffix.len() > 1 {
+    while st.suffix.len() > keep {
         let (Some(done), Some(partial)) = (st.suffix.pop(), st.prefix.pop()) else {
             break;
         };
@@ -495,9 +445,6 @@ fn close_all_frames(
             st.visited.remove(x);
         }
         popped += 1;
-    }
-    if let Some(bottom) = st.suffix.first_mut() {
-        bottom.dot = bottom.rhs.len();
     }
     popped
 }
@@ -521,7 +468,7 @@ fn error_node(reason: &RejectReason, skipped: Vec<Token>) -> ErrorNode {
 #[allow(clippy::disallowed_methods, clippy::disallowed_macros)]
 mod tests {
     use super::*;
-    use crate::budget::Budget;
+    use crate::budget::{AbortReason, Budget};
     use crate::machine::ParseOutcome;
     use crate::observe::MetricsObserver;
     use crate::parser::Parser;

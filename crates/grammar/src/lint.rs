@@ -361,7 +361,9 @@ impl Diagnostic {
     }
 }
 
-pub(crate) fn json_string(s: &str) -> String {
+/// Renders `s` as a quoted JSON string literal, escaping quotes,
+/// backslashes and control characters.
+pub fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {
